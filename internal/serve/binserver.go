@@ -1,26 +1,19 @@
 package serve
 
-// Binary protocol listener (DESIGN.md §15). The HTTP handlers speak JSON;
-// this file serves the same estimate/feedback surface over the wirebin
-// framing protocol on persistent TCP connections. Each connection gets one
-// goroutine, one wirebin.Arena, and one pooled estimateScratch; frames are
-// processed serially in arrival order, which is what makes pipelining's
-// in-order response guarantee free. Estimates flow through the exact same
-// estimateBatch kernel as the JSON path — same cache, same
-// core.EstimateRangesInto fan-out, same generation snapshot — so the two
-// protocols return bit-identical results.
+// Binary protocol listener (DESIGN.md §15): the estimate/feedback surface
+// of the HTTP handlers over the wirebin framing protocol on persistent TCP
+// connections. Each connection gets one goroutine, one wirebin.Arena and
+// one pooled estimateScratch; frames are processed serially in arrival
+// order, which makes pipelining's in-order responses free. Frames go
+// through the same estimate core as JSON (estimate.go), so the two
+// protocols return bit-identical estimates and the same faults.
 //
-// processBinFrame is the steady-state unit: decode into the connection
-// arena, estimate into the connection scratch, append the response frame
-// to the connection's output buffer. None of that allocates — the
-// //selvet:zeroalloc annotations and TestBinFrameZeroAlloc hold it to
-// zero allocs/op, mirroring the JSON path's TestEstimateHandlerZeroAlloc.
-//
-// Per-frame errors (bad frame, bad query, unknown model, oversized frame)
-// are answered with a FrameError and the connection stays open: the
-// framing is still intact, so there is no reason to make the client pay a
-// reconnect. Only transport failures and unrecoverable framing corruption
-// close the connection.
+// processBinFrame is the steady-state unit and allocates nothing
+// (//selvet:zeroalloc, TestBinFrameZeroAlloc). A per-frame error (bad
+// frame, bad query, unknown model, oversized frame) is answered with a
+// FrameError and the connection stays open: the framing is still intact,
+// so there is no reason to make the client pay a reconnect. Only
+// transport failures and corrupt framing close it.
 
 import (
 	"bufio"
@@ -88,21 +81,13 @@ type binState struct {
 
 var binStatePool = sync.Pool{New: func() any { return new(binState) }}
 
-// Static error-frame messages: the error path stays allocation-free
-// because every message the server originates is a constant (the typed
-// wirebin decode errors are precomposed, so their Error() is a field
-// read, not a format).
-const (
-	binMsgUnknownModel = "model not registered"
-	binMsgDimMismatch  = "query dimension does not match model dimension"
-	binMsgTooLarge     = "frame exceeds size limit"
-)
-
 // processBinFrame serves one request frame, appending exactly one
 // response frame to st.out. It never fails: every error becomes a
-// FrameError response. The estimate path performs zero heap allocations
-// at steady state; feedback frames deep-copy observations out of the
-// arena (the feedback ring retains them), matching the JSON path's cost.
+// FrameError response. Decode faults keep the codec's own messages; the
+// estimate core's faults carry the same message as on the JSON path. The
+// estimate path performs zero heap allocations at steady state; feedback
+// frames deep-copy observations out of the arena (the feedback ring
+// retains them), matching the JSON path's cost.
 //
 //selvet:zeroalloc
 func (s *Server) processBinFrame(st *binState, typ byte, payload []byte) {
@@ -115,8 +100,7 @@ func (s *Server) processBinFrame(st *binState, typ byte, payload []byte) {
 		s.bin.frameFb.Inc()
 	default:
 		s.bin.frameOther.Inc()
-		s.bin.errFrames.Inc()
-		st.out = wirebin.AppendErrorResp(st.out, wirebin.CodeBadFrame, wirebin.ErrUnknownFrame.Error())
+		s.binFault(st, wirebin.CodeBadFrame, wirebin.ErrUnknownFrame.Error())
 		return
 	}
 	if err := wirebin.DecodeRequest(typ, payload, &st.arena, &st.req); err != nil {
@@ -124,62 +108,47 @@ func (s *Server) processBinFrame(st *binState, typ byte, payload []byte) {
 		if errors.Is(err, wirebin.ErrBadQuery) {
 			code = wirebin.CodeBadQuery
 		}
-		s.bin.errFrames.Inc()
-		st.out = wirebin.AppendErrorResp(st.out, code, err.Error())
+		s.binFault(st, code, err.Error())
 		return
 	}
-	nameBytes := st.req.Model
-	if len(nameBytes) == 0 {
-		nameBytes = defaultModelBytes
-	}
-	entry, ok := s.registry.GetBytes(nameBytes)
-	if !ok {
-		s.bin.errFrames.Inc()
-		st.out = wirebin.AppendErrorResp(st.out, wirebin.CodeUnknownModel, binMsgUnknownModel)
-		return
-	}
-	if dim, ok := modelDim(entry.Model); ok && dim > 0 {
-		for _, q := range st.req.Ranges {
-			if q.Dim() != dim {
-				s.bin.errFrames.Inc()
-				st.out = wirebin.AppendErrorResp(st.out, wirebin.CodeBadQuery, binMsgDimMismatch)
-				return
-			}
-		}
-	}
-
-	switch typ {
-	case wirebin.FrameEstimate, wirebin.FrameEstimateBatch:
-		// The cache keys by model-name string; convert only when it is on
-		// (same trade the JSON path makes).
-		name := ""
-		if s.estCache != nil {
-			//selvet:ignore zeroalloc the estimate cache keys by string; opting into caching buys this one conversion
-			name = string(nameBytes)
-		}
-		ests := grow(&st.sc.ests, len(st.req.Ranges))
-		s.estimateBatch(name, entry, st.req.Ranges, ests, st.sc, obs.Span{})
-		if typ == wirebin.FrameEstimate {
-			st.out = wirebin.AppendEstimateResp(st.out, entry.Generation, ests[0])
-		} else {
-			st.out = wirebin.AppendEstimateBatchResp(st.out, entry.Generation, ests)
-		}
-	case wirebin.FrameFeedback:
+	ranges := st.req.Ranges
+	if typ == wirebin.FrameFeedback {
 		// The feedback ring retains observations beyond the frame, so
 		// they must leave the arena; feedback frames are off the
 		// estimate fast path and may allocate.
-		obsList := make([]core.LabeledQuery, len(st.req.Ranges))
-		for i, q := range st.req.Ranges {
-			obsList[i] = core.LabeledQuery{R: cloneRange(q), Sel: st.req.Sels[i]}
+		batch := make([]core.LabeledQuery, len(ranges))
+		for i, q := range ranges {
+			batch[i] = core.LabeledQuery{R: cloneRange(q), Sel: st.req.Sels[i]}
 		}
-		//selvet:ignore zeroalloc feedback store keys by string name
-		name := string(nameBytes)
-		dropped := s.feedback.Add(name, obsList)
-		if s.online != nil {
-			s.online.ingest(name, obsList)
+		entry, dropped, code := s.acceptFeedback(st.sc, st.req.Model, batch)
+		if code != 0 {
+			s.binFault(st, code, bstr(st.sc.out))
+			return
 		}
-		st.out = wirebin.AppendFeedbackResp(st.out, entry.Generation, len(obsList), dropped)
+		st.out = wirebin.AppendFeedbackResp(st.out, entry.Generation, len(batch), dropped)
+		return
 	}
+	errs := grow(&st.sc.qerrs, len(ranges))
+	clear(errs)
+	entry, code := s.admit(st.sc, st.req.Model, ranges, errs)
+	if code != 0 {
+		s.binFault(st, code, bstr(st.sc.out))
+		return
+	}
+	ests := s.estimate(entry, ranges, errs, st.sc, obs.Span{})
+	if typ == wirebin.FrameEstimate {
+		st.out = wirebin.AppendEstimateResp(st.out, entry.Generation, ests[0])
+	} else {
+		st.out = wirebin.AppendEstimateBatchResp(st.out, entry.Generation, ests)
+	}
+}
+
+// binFault appends one error frame to st.out.
+//
+//selvet:zeroalloc
+func (s *Server) binFault(st *binState, code byte, msg string) {
+	s.bin.errFrames.Inc()
+	st.out = wirebin.AppendErrorResp(st.out, code, msg)
 }
 
 // cloneRange deep-copies an arena-backed range so it can outlive the
@@ -231,13 +200,13 @@ func (s *Server) serveBinConn(conn net.Conn) {
 			case errors.Is(err, wirebin.ErrFrameTooLarge):
 				// Framing is intact (ReadFrame discarded the payload):
 				// answer and keep serving.
-				s.bin.errFrames.Inc()
-				st.out = wirebin.AppendErrorResp(st.out[:0], wirebin.CodeTooLarge, binMsgTooLarge)
+				st.out = st.out[:0]
+				s.binFault(st, wirebin.CodeTooLarge, "frame exceeds size limit")
 			default:
 				// Framing corrupt or the peer vanished mid-frame: a
 				// best-effort error frame, then close.
-				s.bin.errFrames.Inc()
-				st.out = wirebin.AppendErrorResp(st.out[:0], wirebin.CodeBadFrame, err.Error())
+				st.out = st.out[:0]
+				s.binFault(st, wirebin.CodeBadFrame, err.Error())
 				if _, werr := bw.Write(st.out); werr == nil {
 					if ferr := bw.Flush(); ferr != nil {
 						s.encodeFailed("bin flush", ferr)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -102,7 +104,7 @@ func TestBinServerEndToEnd(t *testing.T) {
 
 	t.Run("error frames keep connection", func(t *testing.T) {
 		if _, _, err := c.Estimate("no-such-model", test[0].R); err == nil ||
-			!strings.Contains(err.Error(), "model not registered") {
+			!strings.Contains(err.Error(), `model "no-such-model" not registered`) {
 			t.Fatalf("unknown model error: %v", err)
 		}
 		// The same connection must still serve.
@@ -209,6 +211,155 @@ func TestBinJSONEquivalence(t *testing.T) {
 			t.Fatalf("query %d: binary %v != json %v", i, got, want)
 		}
 	}
+
+	// The fault table: each fault goes out as a JSON single query, a JSON
+	// batch, an NDJSON line and binary single and batch frames. Every
+	// transport answers it with the same class, and the two faults the
+	// estimate core raises with the same message; decode faults keep
+	// codec-specific texts.
+	t.Run("faults", func(t *testing.T) {
+		const dimLine = `query 0: dimension 1, model "default" has dimension 2`
+		faults := []struct {
+			name, model, query string
+			bin                geom.Range
+			status             int    // JSON answer; a 404 refuses the whole stream
+			code               byte   // binary error frame code
+			line               string // the NDJSON error line when the stream is served
+			msg                string // the core's message on JSON and binary; "" for decode faults
+		}{
+			{"unknown model", "nope", `{"lo":[0.1,0.1],"hi":[0.5,0.5]}`,
+				geom.Box{Lo: geom.Point{0.1, 0.1}, Hi: geom.Point{0.5, 0.5}},
+				http.StatusNotFound, wirebin.CodeUnknownModel, "", `model "nope" not registered`},
+			{"dimension mismatch", "", `{"lo":[0.1],"hi":[0.5]}`,
+				geom.Box{Lo: geom.Point{0.1}, Hi: geom.Point{0.5}},
+				http.StatusBadRequest, wirebin.CodeBadQuery, dimLine, "1 of 1 queries invalid: " + dimLine},
+			{"malformed query", "", `{"center":[0.5,0.5],"radius":-1}`,
+				geom.Ball{Center: geom.Point{0.5, 0.5}, Radius: -1},
+				http.StatusBadRequest, wirebin.CodeBadQuery, "query 0: ball query needs a non-negative radius", ""},
+		}
+		serve := func(path, body string) (int, []byte) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+			return w.Code, w.Body.Bytes()
+		}
+		errorText := func(t *testing.T, body []byte) string {
+			t.Helper()
+			var e apiError
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("bad error body %q: %v", body, err)
+			}
+			return e.Error
+		}
+		for _, f := range faults {
+			t.Run(f.name, func(t *testing.T) {
+				model := ""
+				if f.model != "" {
+					model = `"model":"` + f.model + `",`
+				}
+				for _, body := range []string{
+					`{` + model + `"query":` + f.query + `}`,
+					`{` + model + `"queries":[` + f.query + `]}`,
+				} {
+					status, out := serve("/v1/estimate", body)
+					if msg := errorText(t, out); status != f.status || (f.msg != "" && msg != f.msg) {
+						t.Fatalf("JSON %s: HTTP %d %q, want %d %q", body, status, msg, f.status, f.msg)
+					}
+				}
+
+				status, out := serve("/v1/estimate/stream?model="+f.model, f.query+"\n")
+				if f.status == http.StatusNotFound {
+					if msg := errorText(t, out); status != f.status || msg != f.msg {
+						t.Fatalf("NDJSON: HTTP %d %q, want %d %q", status, msg, f.status, f.msg)
+					}
+				} else if msg := errorText(t, out); status != http.StatusOK || msg != f.line {
+					t.Fatalf("NDJSON: HTTP %d line %q, want 200 %q", status, msg, f.line)
+				}
+
+				single, err := wirebin.AppendEstimateReq(nil, []byte(f.model), f.bin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := wirebin.AppendEstimateBatchReq(nil, []byte(f.model), []geom.Range{f.bin})
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = c.Pipeline([][]byte{single, batch}, func(i int, r *wirebin.Response) error {
+					if r.Type != wirebin.FrameError || r.Code != f.code || (f.msg != "" && string(r.Msg) != f.msg) {
+						t.Errorf("binary frame %d: type %#x code %d %q, want code %d %q", i, r.Type, r.Code, r.Msg, f.code, f.msg)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
+
+	// With the cache on, a stream that repeats a query is served from the
+	// cache, yet only with values of the generation it pinned: an answer
+	// cached for the previous generation must not leak into it.
+	t.Run("stream cache", func(t *testing.T) {
+		m1, m2 := unitModel(1), unitModel(0.5)
+		cs := NewServer(Options{})
+		cs.Registry().Set(DefaultModelName, "test", m1)
+		ch := cs.Handler()
+		const query = `{"lo":[0,0],"hi":[0.5,0.5]}`
+		if w, _ := postEstimate(t, ch, `{"query":`+query+`}`); w.Code != http.StatusOK {
+			t.Fatalf("warm-up estimate: HTTP %d", w.Code)
+		}
+		cs.Registry().Set(DefaultModelName, "swap", m2)
+		hits := func() float64 {
+			return metricValue(t, ch, "selserve_estimate_cache_hits_total")
+		}
+		before := hits()
+
+		lines := make([]string, streamBatchSize+16)
+		for i := range lines {
+			lines[i] = query
+		}
+		req := httptest.NewRequest("POST", "/v1/estimate/stream", strings.NewReader(strings.Join(lines, "\n")+"\n"))
+		w := httptest.NewRecorder()
+		ch.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || w.Header().Get("X-Model-Generation") != "2" {
+			t.Fatalf("stream: HTTP %d, generation %q, want 200 and 2", w.Code, w.Header().Get("X-Model-Generation"))
+		}
+		want := m2.Estimate(geom.NewBox(geom.Point{0, 0}, geom.Point{0.5, 0.5}))
+		got := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
+		if len(got) != len(lines) {
+			t.Fatalf("%d answer lines, want %d", len(got), len(lines))
+		}
+		for i, line := range got {
+			var rec struct{ Estimate *float64 }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Estimate == nil {
+				t.Fatalf("line %d: %q (%v)", i, line, err)
+			}
+			if math.Float64bits(*rec.Estimate) != math.Float64bits(want) {
+				t.Fatalf("line %d: estimate %v, want generation 2's %v", i, *rec.Estimate, want)
+			}
+		}
+		if after := hits(); after <= before {
+			t.Fatalf("selserve_estimate_cache_hits_total %v -> %v: the stream bypassed the cache", before, after)
+		}
+	})
+}
+
+// metricValue reads one unlabeled series from the handler's /metrics page.
+func metricValue(t *testing.T, h http.Handler, name string) float64 {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", name)
+	return 0
 }
 
 // TestBinFrameZeroAlloc is the binary counterpart of

@@ -62,10 +62,12 @@ func NewEstimateCache(capacity int) *EstimateCache {
 // generation, updating the hit/miss counters and LRU order.
 func (c *EstimateCache) Get(model string, gen int64, query string) (float64, bool) {
 	k := cacheKey{model: model, gen: gen, query: query}
+	var v float64
 	c.mu.Lock()
 	el, ok := c.entries[k]
 	if ok {
 		c.ll.MoveToFront(el)
+		v = el.Value.(*cacheEntry).val // under the lock: Put rewrites it in place
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -73,7 +75,7 @@ func (c *EstimateCache) Get(model string, gen int64, query string) (float64, boo
 		return 0, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
+	return v, true
 }
 
 // Put records an estimate for the query under the given model generation,
@@ -131,48 +133,31 @@ func (c *EstimateCache) status() estimateCacheStatus {
 func QueryKey(r geom.Range) (string, bool) {
 	switch q := r.(type) {
 	case geom.Box:
-		return boxKey(q), true
+		return queryKey('b', q.Lo, q.Hi), true
 	case *geom.Box:
-		return boxKey(*q), true
+		return queryKey('b', q.Lo, q.Hi), true
 	case geom.Halfspace:
-		return halfspaceKey(q), true
+		return queryKey('h', q.A, geom.Point{q.B}), true
 	case *geom.Halfspace:
-		return halfspaceKey(*q), true
+		return queryKey('h', q.A, geom.Point{q.B}), true
 	case geom.Ball:
-		return ballKey(q), true
+		return queryKey('c', q.Center, geom.Point{q.Radius}), true
 	case *geom.Ball:
-		return ballKey(*q), true
+		return queryKey('c', q.Center, geom.Point{q.Radius}), true
 	}
 	return "", false
 }
 
-func boxKey(q geom.Box) string {
-	buf := make([]byte, 0, 1+16*len(q.Lo))
-	buf = append(buf, 'b')
-	buf = appendFloats(buf, q.Lo)
-	buf = appendFloats(buf, q.Hi)
-	return string(buf)
-}
-
-func halfspaceKey(q geom.Halfspace) string {
-	buf := make([]byte, 0, 1+8*len(q.A)+8)
-	buf = append(buf, 'h')
-	buf = appendFloats(buf, q.A)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.B))
-	return string(buf)
-}
-
-func ballKey(q geom.Ball) string {
-	buf := make([]byte, 0, 1+8*len(q.Center)+8)
-	buf = append(buf, 'c')
-	buf = appendFloats(buf, q.Center)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.Radius))
-	return string(buf)
-}
-
-func appendFloats(buf []byte, p geom.Point) []byte {
-	for _, v := range p {
+// queryKey is the class tag followed by the raw bits of a's then b's
+// coordinates.
+func queryKey(tag byte, a, b geom.Point) string {
+	buf := make([]byte, 1, 1+8*(len(a)+len(b)))
+	buf[0] = tag
+	for _, v := range a {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return buf
+	for _, v := range b {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return string(buf)
 }

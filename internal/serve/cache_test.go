@@ -97,6 +97,32 @@ func TestEstimateCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// Put rewrites an existing entry's value in place, so Get must read it
+// under the lock: concurrent Get and Put of one key must be race-free
+// (this test is for -race).
+func TestEstimateCacheConcurrentGetPut(t *testing.T) {
+	c := NewEstimateCache(4)
+	c.Put("m", 1, "q", 0.5)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			c.Put("m", 1, "q", 0.5)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			if v, ok := c.Get("m", 1, "q"); !ok || v != 0.5 {
+				t.Errorf("Get = %v, %v", v, ok)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 // A batch with several malformed queries must come back as ONE 400 that
 // names every bad index, so the client can fix the whole batch in one
 // round trip.

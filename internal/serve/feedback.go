@@ -211,7 +211,21 @@ func (s *Server) RetrainNow() []RetrainResult {
 // regress versus the serving model on the held-out stripe — feedback can be
 // noisy, and a guarded swap keeps a bad batch from degrading serving.
 func (s *Server) retrainModel(name string) (RetrainResult, bool) {
+	entry, ok := s.registry.Get(name)
+	if !ok {
+		return RetrainResult{}, false // feedback is only accepted for registered models
+	}
+	// Rings are keyed by name, not generation, so an upload may have
+	// changed the model's dimension since this feedback was accepted:
+	// train and score only on what fits the entry being refit.
 	samples, total := s.feedback.Snapshot(name)
+	fit := samples[:0]
+	for _, z := range samples {
+		if entry.fits(z.R) {
+			fit = append(fit, z)
+		}
+	}
+	samples = fit
 	if len(samples) < s.opts.MinRetrainSamples {
 		return RetrainResult{}, false
 	}
@@ -226,11 +240,6 @@ func (s *Server) retrainModel(name string) (RetrainResult, bool) {
 
 	sp := s.tracer.StartRoot("serve.retrain")
 	defer sp.End()
-
-	entry, ok := s.registry.Get(name)
-	if !ok {
-		return s.finishRetrain(RetrainResult{Model: name, Err: "model not registered"})
-	}
 
 	// Stripe split: every 5th observation is validation, so both sets
 	// span the whole feedback window rather than one temporal half.

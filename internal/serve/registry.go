@@ -29,6 +29,11 @@ type Entry struct {
 	Source string
 	// LoadedAt is when the entry was published.
 	LoadedAt time.Time
+
+	// name and dim are recorded at publish so the request path keys the
+	// cache and checks dimensions as is (dim 0: the model does not say).
+	name string
+	dim  int
 }
 
 // slot holds one name's hot-swappable entry. Readers only touch the
@@ -57,14 +62,7 @@ func NewRegistry() *Registry {
 // Get returns the current entry for name, or false if the name has never
 // been set.
 func (r *Registry) Get(name string) (*Entry, bool) {
-	r.mu.RLock()
-	sl, ok := r.slots[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	e := sl.ptr.Load()
-	return e, e != nil
+	return r.GetBytes([]byte(name)) // no copy: GetBytes neither keeps nor writes it
 }
 
 // GetBytes is Get keyed by raw name bytes. The map index with an inline
@@ -110,8 +108,14 @@ func (r *Registry) Set(name, source string, m core.Model) *Entry {
 	sl := r.getOrCreateSlot(name)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
+	return sl.publish(name, source, m)
+}
+
+// publish stores m as the slot's next generation; the caller holds sl.mu.
+func (sl *slot) publish(name, source string, m core.Model) *Entry {
 	sl.gen++
-	e := &Entry{Model: m, Generation: sl.gen, Source: source, LoadedAt: time.Now()}
+	dim, _ := modelDim(m)
+	e := &Entry{Model: m, Generation: sl.gen, Source: source, LoadedAt: time.Now(), name: name, dim: dim}
 	sl.ptr.Store(e)
 	return e
 }
@@ -133,10 +137,7 @@ func (r *Registry) CompareAndSwap(name, source string, old *Entry, m core.Model)
 	if sl.ptr.Load() != old {
 		return nil
 	}
-	sl.gen++
-	e := &Entry{Model: m, Generation: sl.gen, Source: source, LoadedAt: time.Now()}
-	sl.ptr.Store(e)
-	return e
+	return sl.publish(name, source, m)
 }
 
 // Names returns the registered model names, sorted.
@@ -170,9 +171,9 @@ func modelTypeName(m core.Model) string {
 	return fmt.Sprintf("%T", m)
 }
 
-// modelDim returns the ambient dimensionality of a model, needed to rebuild
-// a trainer for retraining. Not every model records it explicitly, so it is
-// recovered from the bucket geometry.
+// modelDim returns the ambient dimensionality of a model, recorded on each
+// published Entry and needed to rebuild a trainer for retraining. Not every
+// model records it explicitly, so it is recovered from the bucket geometry.
 func modelDim(m core.Model) (int, bool) {
 	switch t := m.(type) {
 	case *hist.Model:

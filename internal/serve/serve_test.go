@@ -2,17 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/hist"
 	"repro/internal/modelio"
+	"repro/internal/wirebin"
 	"repro/internal/workload"
 )
 
@@ -344,6 +348,84 @@ func TestRetrainGuardRejectsRegression(t *testing.T) {
 	// A second pass with no new feedback must be a no-op.
 	if results := s.RetrainNow(); len(results) != 0 {
 		t.Fatalf("retrain without fresh feedback ran: %+v", results)
+	}
+}
+
+// TestRetrainSurvivesDimensionFaults runs the real serve loop with a fast
+// retrain tick, so a panic in the retrain goroutine kills the test binary.
+// Wrong-dimension feedback must be refused at the door on both feedback
+// transports, and feedback that a dimension-changing upload strands in the
+// ring must be left out of the next refit instead of crashing it.
+func TestRetrainSurvivesDimensionFaults(t *testing.T) {
+	train, _ := fixture(t, 60, 1)
+	s := NewServer(Options{MinRetrainSamples: 4, RetrainInterval: 2 * time.Millisecond})
+	s.Registry().Set(DefaultModelName, "test", trainModel(t, train))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	binAddr, stopBin := startBinServer(t, s)
+	defer stopBin()
+	base := "http://" + ln.Addr().String()
+	client := &http.Client{Timeout: 10 * time.Second}
+	ticks := func() { time.Sleep(25 * time.Millisecond) } // about ten retrain passes
+
+	// One 1-D observation for the 2-D model is refused by index, over JSON
+	// and over a binary frame alike.
+	const want = `observation 0: dimension 1, model "default" has dimension 2`
+	code, body := post(t, client, "POST", base+"/v1/feedback",
+		[]byte(`{"observations":[{"lo":[0.1],"hi":[0.5],"sel":0.3}]}`))
+	var apiErr apiError
+	if err := json.Unmarshal(body, &apiErr); err != nil || code != http.StatusBadRequest || apiErr.Error != want {
+		t.Fatalf("1-D JSON feedback: HTTP %d %s, want 400 %q", code, body, want)
+	}
+	c, err := wirebin.Dial(binAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	oneD := []geom.Range{geom.Box{Lo: geom.Point{0.1}, Hi: geom.Point{0.5}}}
+	if _, _, _, err := c.Feedback("", oneD, []float64{0.3}); err == nil || !strings.HasSuffix(err.Error(), "code 2: "+want) {
+		t.Fatalf("1-D binary feedback: %v, want code 2 %q", err, want)
+	}
+	ticks()
+
+	// Valid 2-D feedback is accepted and refit; then an upload changes the
+	// model's dimension, stranding that feedback in the ring. One fresh 3-D
+	// observation makes the retrainer look again: what fits the new model
+	// is too little to refit on, and the stranded rest must not be used.
+	if code, body := post(t, client, "POST", base+"/v1/feedback", feedbackBody(t, train[:8])); code != http.StatusOK {
+		t.Fatalf("2-D feedback: HTTP %d %s", code, body)
+	}
+	ticks()
+	train3, _ := workload.NewGenerator(dataset.Power(3000, 1).Project([]int{0, 1, 2}), 5).
+		TrainTest(workload.Spec{Class: workload.OrthogonalRange, Centers: workload.DataDriven}, 100, 0)
+	m3, err := hist.New(3, 200).Train(train3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post(t, client, "PUT", base+"/v1/models/default", envelopeOf(t, m3)); code != http.StatusOK {
+		t.Fatalf("3-D upload: HTTP %d %s", code, body)
+	}
+	if code, body := post(t, client, "POST", base+"/v1/feedback",
+		[]byte(`{"observations":[{"lo":[0.1,0.1,0.1],"hi":[0.5,0.5,0.5],"sel":0.1}]}`)); code != http.StatusOK {
+		t.Fatalf("3-D feedback: HTTP %d %s", code, body)
+	}
+	ticks()
+	if res := s.RetrainNow(); len(res) != 0 {
+		t.Fatalf("retrain refit the 3-D model on 2-D feedback: %+v", res)
+	}
+	if e, _ := s.Registry().Get(DefaultModelName); e.Source != "upload" {
+		t.Fatalf("the upload was replaced by a %s refit on stranded feedback", e.Source)
 	}
 }
 

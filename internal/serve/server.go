@@ -10,13 +10,19 @@
 //
 // Endpoints:
 //
-//	POST /v1/estimate      — selectivity of one query or a batch
-//	POST /v1/feedback      — observed (query, selectivity) pairs
-//	POST /v1/retrain       — force a retraining pass (operators, tests)
-//	PUT  /v1/models/{name} — upload/replace a modelio envelope
-//	GET  /v1/models/{name} — download the serving model as an envelope
-//	GET  /healthz          — liveness
-//	GET  /statz            — counters, latency quantiles, model inventory
+//	POST /v1/estimate        — selectivity of one query or a batch
+//	POST /v1/estimate/stream — NDJSON: one query per line, one answer per line
+//	POST /v1/feedback        — observed (query, selectivity) pairs
+//	POST /v1/retrain         — force a retraining pass (operators, tests)
+//	PUT  /v1/models/{name}   — upload/replace a modelio envelope
+//	GET  /v1/models/{name}   — download the serving model as an envelope
+//	GET  /healthz            — liveness
+//	GET  /statz              — counters, latency quantiles, model inventory
+//	GET  /metrics            — Prometheus text exposition
+//	GET  /debug/trace        — sampled request spans as Chrome trace JSON
+//
+// All three estimate transports (these two routes and the binary listener
+// of binserver.go) share one estimate core, estimate.go.
 package serve
 
 import (
@@ -32,7 +38,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,6 +47,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/parallel"
+	"repro/internal/wirebin"
 )
 
 // Options tunes the server; zero values take the defaults noted per field.
@@ -445,6 +451,12 @@ type modelStatus struct {
 	LoadedAt   time.Time `json:"loaded_at"`
 }
 
+// status is the entry's row in /statz and the model upload response.
+func (e *Entry) status() modelStatus {
+	return modelStatus{Name: e.name, Type: modelTypeName(e.Model), Buckets: e.Model.NumBuckets(),
+		Generation: e.Generation, Source: e.Source, LoadedAt: e.LoadedAt}
+}
+
 type statzResponse struct {
 	UptimeSeconds float64                   `json:"uptime_seconds"`
 	Build         buildStatus               `json:"build"`
@@ -526,6 +538,16 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeFault answers a fault of the estimate core (estimate.go) with its
+// rendered message: 404 for an unknown model, 400 for a bad query.
+func (s *Server) writeFault(w http.ResponseWriter, code byte, msg []byte) {
+	status := http.StatusBadRequest
+	if code == wirebin.CodeUnknownModel {
+		status = http.StatusNotFound
+	}
+	s.writeJSON(w, status, apiError{Error: string(msg)})
+}
+
 // writeRaw writes pre-encoded JSON bytes: the zero-allocation counterpart
 // of writeJSON for the hand-rolled estimate encoder.
 //
@@ -586,13 +608,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *estimateSc
 	}
 }
 
-func modelName(name string) string {
-	if name == "" {
-		return DefaultModelName
-	}
-	return name
-}
-
 // estimateScratch is the per-request working set of the estimate hot
 // path. Requests check one out of scratchPool, so steady-state serving
 // reuses the same slices and encode buffer instead of allocating per
@@ -616,8 +631,7 @@ type estimateScratch struct {
 	missRg []geom.Range
 	missV  []float64
 	ests   []float64
-	bad    []string
-	out    []byte // hand-rolled response bytes
+	out    []byte // hand-rolled response bytes (or a fault message)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(estimateScratch) }}
@@ -652,97 +666,18 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "specify either query or queries, not both")
 		return
 	}
-	ranges := sc.ranges
-	if len(ranges) == 0 {
+	if len(sc.ranges) == 0 {
 		s.writeError(w, http.StatusBadRequest, "no queries given")
 		return
 	}
-	nameBytes := sc.nameOrDefault()
-	entry, ok := s.registry.GetBytes(nameBytes)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "model %q not registered", string(nameBytes))
+	entry, code := s.admit(sc, sc.name, sc.ranges, sc.qerrs)
+	if code != 0 {
+		s.writeFault(w, code, sc.out)
 		return
 	}
-	dim, _ := modelDim(entry.Model)
-
-	bad := sc.bad[:0]
-	for i, q := range ranges {
-		err := sc.qerrs[i]
-		if err == nil && dim > 0 && q.Dim() != dim {
-			//selvet:ignore zeroalloc malformed queries take the 400 path; well-formed requests never reach this line
-			err = fmt.Errorf("dimension %d, model %q has dimension %d", q.Dim(), string(nameBytes), dim)
-		}
-		if err != nil {
-			//selvet:ignore zeroalloc error-message formatting for the 400 response only; the happy path keeps bad empty
-			bad = append(bad, fmt.Sprintf("query %d: %v", i, err))
-		}
-	}
-	sc.bad = bad
-	if len(bad) > 0 {
-		// Report every malformed query at once so a client can fix the
-		// whole batch in one round trip.
-		s.writeError(w, http.StatusBadRequest, "%d of %d queries invalid: %s",
-			len(bad), len(ranges), strings.Join(bad, "; "))
-		return
-	}
-
-	// The cache keys by model-name string; convert only when it is on.
-	name := ""
-	if s.estCache != nil {
-		//selvet:ignore zeroalloc the estimate cache keys by string; opting into caching buys this one conversion
-		name = string(nameBytes)
-	}
-	ests := grow(&sc.ests, len(ranges))
-	s.estimateBatch(name, entry, ranges, ests, sc, obs.SpanFromContext(r.Context()))
-
-	sc.out = appendEstimateResponse(sc.out[:0], nameBytes, entry.Generation, ests, single)
+	ests := s.estimate(entry, sc.ranges, sc.qerrs, sc, obs.SpanFromContext(r.Context()))
+	sc.out = appendEstimateResponse(sc.out[:0], modelName(sc.name), entry.Generation, ests, single)
 	s.writeRaw(w, http.StatusOK, sc.out)
-}
-
-// estimateBatch fills ests[i] for every range, serving what it can from
-// the generation-keyed cache and evaluating the misses as one batch on
-// the shared deterministic kernel (core.EstimateRangesInto). Results are
-// index-addressed throughout, so the output is byte-identical for any
-// worker count. When sp is an active trace span, the cache scan and the
-// kernel fan-out appear as its children; for the untraced common case
-// every span call is an inert value-copy.
-//
-//selvet:zeroalloc
-func (s *Server) estimateBatch(name string, entry *Entry, ranges []geom.Range, ests []float64, sc *estimateScratch, sp obs.Span) {
-	if s.estCache == nil {
-		core.EstimateRangesTraced(entry.Model, ranges, s.opts.EstimateWorkers, ests, sp)
-		return
-	}
-	lookup := sp.Child("serve.cache_lookup")
-	keys := grow(&sc.keys, len(ranges))
-	miss := sc.miss[:0]
-	missRg := sc.missRg[:0]
-	for i, q := range ranges {
-		keys[i] = ""
-		if k, ok := QueryKey(q); ok {
-			keys[i] = k
-			if v, hit := s.estCache.Get(name, entry.Generation, k); hit {
-				ests[i] = v
-				continue
-			}
-		}
-		miss = append(miss, i)
-		missRg = append(missRg, q)
-	}
-	lookup.Items = int64(len(ranges) - len(miss)) // cache hits
-	lookup.End()
-	sc.miss, sc.missRg = miss, missRg
-	if len(miss) == 0 {
-		return
-	}
-	missV := grow(&sc.missV, len(miss))
-	core.EstimateRangesTraced(entry.Model, missRg, s.opts.EstimateWorkers, missV, sp)
-	for k, i := range miss {
-		ests[i] = missV[k]
-		if keys[i] != "" {
-			s.estCache.Put(name, entry.Generation, keys[i], missV[k])
-		}
-	}
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -754,12 +689,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "no observations given")
 		return
 	}
-	name := modelName(req.Model)
-	if _, ok := s.registry.Get(name); !ok {
-		s.writeError(w, http.StatusNotFound, "model %q not registered", name)
-		return
-	}
-	obs := make([]core.LabeledQuery, len(req.Observations))
+	batch := make([]core.LabeledQuery, len(req.Observations))
 	for i, o := range req.Observations {
 		q, err := o.toRange()
 		if err != nil {
@@ -770,16 +700,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "observation %d: sel must be in [0,1]", i)
 			return
 		}
-		obs[i] = core.LabeledQuery{R: q, Sel: *o.Sel}
+		batch[i] = core.LabeledQuery{R: q, Sel: *o.Sel}
 	}
-	dropped := s.feedback.Add(name, obs)
-	if s.online != nil {
-		// Fast path: fold the observations into the serving weights now.
-		// The ring keeps its copy regardless — structural refreshes still
-		// come from the background retrainer.
-		s.online.ingest(name, obs)
+	sc := scratchPool.Get().(*estimateScratch)
+	defer scratchPool.Put(sc)
+	entry, dropped, code := s.acceptFeedback(sc, []byte(req.Model), batch)
+	if code != 0 {
+		s.writeFault(w, code, sc.out)
+		return
 	}
-	s.writeJSON(w, http.StatusOK, feedbackResponse{Model: name, Accepted: len(obs), Dropped: dropped})
+	s.writeJSON(w, http.StatusOK, feedbackResponse{Model: entry.name, Accepted: len(batch), Dropped: dropped})
 }
 
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
@@ -810,14 +740,7 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 	entry := s.registry.Set(name, "upload", m)
 	publish.Items = int64(m.NumBuckets())
 	publish.End()
-	s.writeJSON(w, http.StatusOK, modelStatus{
-		Name:       name,
-		Type:       modelTypeName(m),
-		Buckets:    m.NumBuckets(),
-		Generation: entry.Generation,
-		Source:     entry.Source,
-		LoadedAt:   entry.LoadedAt,
-	})
+	s.writeJSON(w, http.StatusOK, entry.status())
 }
 
 func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
@@ -845,14 +768,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		models = append(models, modelStatus{
-			Name:       name,
-			Type:       modelTypeName(entry.Model),
-			Buckets:    entry.Model.NumBuckets(),
-			Generation: entry.Generation,
-			Source:     entry.Source,
-			LoadedAt:   entry.LoadedAt,
-		})
+		models = append(models, entry.status())
 	}
 	s.retrainMu.Lock()
 	rt := retrainerStatus{Runs: s.retrainRuns, Swaps: s.retrainSwaps, Errors: s.retrainErrs, LastError: s.retrainErr}

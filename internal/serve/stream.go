@@ -2,57 +2,53 @@ package serve
 
 import (
 	"bufio"
-	"fmt"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
 // The NDJSON streaming endpoint: POST /v1/estimate/stream?model=NAME.
 //
-// The batched JSON endpoint pays the full HTTP envelope (headers, routing,
-// one response document) per request. For bulk consumers — a query
-// optimizer warming its plan cache, a benchmark harness, a backfill — the
-// streaming endpoint amortizes that envelope over one connection: the
-// client writes one wire-query object per line, the server batches up to
-// streamBatchSize parsed queries, evaluates each batch on the shared
-// deterministic kernel (core.EstimateRangesInto via its traced wrapper,
-// honoring Options.EstimateWorkers), and writes one {"estimate":x} line
-// per query, in request order, flushing after every batch.
+// Bulk consumers (a planner warming its plan cache, a benchmark, a
+// backfill) amortize the HTTP envelope over one connection: the client
+// writes one wire-query object per line, the server answers every
+// streamBatchSize lines through the estimate core and writes one
+// {"estimate":x} line per query, in request order, flushing after every
+// batch. A malformed line takes its slot in the batch like any other and
+// is answered in place with an {"error":"query N: ..."} line, so clients
+// correlate answers with requests by line count.
 //
-// A malformed line does not abort the stream: the server flushes the
-// queries batched so far (preserving output order) and then writes an
-// {"error":"query N: ..."} line in that query's position, so the client
-// can still correlate responses to requests by line count.
-//
-// The serving model is resolved once per connection; the response header
-// X-Model-Generation echoes the generation that answers the whole stream,
-// so a long stream is deterministic even while hot swaps land.
+// The model is resolved once per connection and X-Model-Generation echoes
+// the generation that answers the whole stream, so a long stream stays
+// deterministic while hot swaps land.
 
-// streamBatchSize bounds how many queries accumulate before the kernel
-// runs. Large enough to clear core's parallel threshold (64) and amortize
-// flushes; small enough that the first results of a long stream appear
-// quickly.
+// streamBatchSize bounds how many lines accumulate before the batch is
+// answered. Large enough to clear core's parallel threshold (64) and
+// amortize flushes; small enough that the first results of a long stream
+// appear quickly.
 const streamBatchSize = 256
 
 // streamMaxLine bounds one NDJSON line (a single query object).
 const streamMaxLine = 64 << 10
 
+var errLineTooLong = errors.New("line exceeds 64KiB")
+
 var streamReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, streamMaxLine) }}
 var streamWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
 func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
-	name := modelName(r.URL.Query().Get("model"))
-	entry, ok := s.registry.Get(name)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "model %q not registered", name)
+	sc := scratchPool.Get().(*estimateScratch)
+	defer scratchPool.Put(sc)
+	sc.resetWire()
+	sc.name = append(sc.name, r.URL.Query().Get("model")...)
+	entry, code := s.admit(sc, sc.name, nil, nil)
+	if code != 0 {
+		s.writeFault(w, code, sc.out)
 		return
 	}
-	dim, _ := modelDim(entry.Model)
 	sp := obs.SpanFromContext(r.Context())
 
 	// The handler interleaves request-body reads with response writes. Go's
@@ -63,8 +59,6 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	// always full-duplex) return an error we can ignore.
 	_ = http.NewResponseController(w).EnableFullDuplex()
 
-	sc := scratchPool.Get().(*estimateScratch)
-	defer scratchPool.Put(sc)
 	br := streamReaderPool.Get().(*bufio.Reader)
 	br.Reset(r.Body)
 	defer streamReaderPool.Put(br)
@@ -78,133 +72,73 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	// flush evaluates the batched queries and writes one result line per
-	// query. Returning false means the client is gone and the stream ends.
-	sc.resetWire()
-	flush := func() bool {
+	// flush answers the batched lines in order — the core checks and
+	// estimates the batch, and each slot becomes an estimate line or an
+	// error line — then pushes them to the client. Only a mid-stream flush
+	// flushes the HTTP response: a stream that ends within its first batch
+	// then goes out in one write with a Content-Length, not chunked.
+	// Returning false means the client is gone and the stream ends.
+	first := 0 // stream index of the batch's first line
+	flush := func(mid bool) bool {
 		if len(sc.ranges) == 0 {
 			return true
 		}
-		ests := grow(&sc.ests, len(sc.ranges))
-		core.EstimateRangesTraced(entry.Model, sc.ranges, s.opts.EstimateWorkers, ests, sp)
+		entry.check(sc.ranges, sc.qerrs)
+		ests := s.estimate(entry, sc.ranges, sc.qerrs, sc, sp)
 		out := sc.out[:0]
-		for _, v := range ests {
-			out = append(out, `{"estimate":`...)
-			out = appendJSONFloat(out, v)
+		for i, err := range sc.qerrs {
+			if err != nil {
+				msg := appendFault(sc.strbuf[:0], "query", first+i, err, sc.ranges[i], entry)
+				sc.strbuf = msg[:0]
+				out = append(out, `{"error":`...)
+				out = appendJSONString(out, msg)
+			} else {
+				out = append(out, `{"estimate":`...)
+				out = appendJSONFloat(out, ests[i])
+			}
 			out = append(out, '}', '\n')
 		}
 		sc.out = out
-		_, err := bw.Write(out)
+		first += len(sc.ranges)
 		sc.resetWire()
-		if err != nil {
-			s.encodeFailed("stream write", err)
-			return false
-		}
-		return true
-	}
-	// fail writes one in-order error line for the current query, flushing
-	// the batch ahead of it first.
-	qindex := 0
-	fail := func(msg string) bool {
-		if !flush() {
-			return false
-		}
-		out := append(sc.out[:0], `{"error":"query `...)
-		out = strconv.AppendInt(out, int64(qindex), 10)
-		out = append(out, `: `...)
-		// Re-escape through the string encoder minus its quotes.
-		quoted := appendJSONString(sc.strbuf[:0], []byte(msg))
-		out = append(out, quoted[1:len(quoted)-1]...)
-		sc.strbuf = quoted[:0]
-		out = append(out, '"', '}', '\n')
-		sc.out = out
 		if _, err := bw.Write(out); err != nil {
 			s.encodeFailed("stream write", err)
 			return false
+		}
+		if err := bw.Flush(); err != nil {
+			s.encodeFailed("stream flush", err)
+			return false
+		}
+		if mid && flusher != nil {
+			flusher.Flush()
 		}
 		return true
 	}
 
 	var qp queryParts
-	done := false
-	for !done {
+	for {
 		line, err := br.ReadSlice('\n')
-		switch {
-		case err == bufio.ErrBufferFull:
-			// Skip the oversized line's remainder, then report in order.
+		p := wireParser{b: line, sc: sc}
+		if p.ws(); err == bufio.ErrBufferFull {
+			// Skip the oversized line's remainder; it answers in its slot.
 			for err == bufio.ErrBufferFull {
 				_, err = br.ReadSlice('\n')
 			}
-			if !fail("line exceeds 64KiB") {
-				return
+			sc.ranges = append(sc.ranges, nil)
+			sc.qerrs = append(sc.qerrs, errLineTooLong)
+		} else if p.i < len(line) { // blank lines are skipped
+			// A final unterminated line is parsed too, then the loop ends.
+			if perr := p.parseQuery(&qp); perr != nil {
+				sc.ranges = append(sc.ranges, nil)
+				sc.qerrs = append(sc.qerrs, perr)
 			}
-			qindex++
-			continue
-		case err != nil && len(line) == 0:
-			done = true
-			continue
-		case err != nil:
-			done = true // final unterminated line: parse it, then stop
 		}
-		if blank(line) {
-			continue
+		if err != nil {
+			break
 		}
-		p := wireParser{b: line, sc: sc}
-		perr := p.parseQueryObject(&qp)
-		var q = geom.Range(nil)
-		if perr == nil {
-			q, perr = qp.build(sc)
-		}
-		if perr == nil && dim > 0 && q.Dim() != dim {
-			if !fail(dimMismatch(q.Dim(), name, dim)) {
-				return
-			}
-			qindex++
-			continue
-		}
-		if perr != nil {
-			if !fail(perr.Error()) {
-				return
-			}
-			qindex++
-			continue
-		}
-		sc.ranges = append(sc.ranges, q)
-		qindex++
-		if len(sc.ranges) >= streamBatchSize {
-			if !flush() {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				s.encodeFailed("stream flush", err)
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+		if len(sc.ranges) >= streamBatchSize && !flush(true) {
+			return
 		}
 	}
-	if !flush() {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		s.encodeFailed("stream flush", err)
-	}
-}
-
-// blank reports whether an NDJSON line holds only whitespace.
-func blank(line []byte) bool {
-	for _, c := range line {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// dimMismatch formats the dimension error exactly like the batch path.
-func dimMismatch(qdim int, name string, dim int) string {
-	return fmt.Sprintf("dimension %d, model %q has dimension %d", qdim, name, dim)
+	flush(false)
 }

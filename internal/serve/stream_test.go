@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -145,6 +146,32 @@ func TestEstimateStreamBatchBoundary(t *testing.T) {
 	for i, rec := range recs {
 		if rec["estimate"].(float64) != want {
 			t.Fatalf("estimate %d = %v, want %v", i, rec, want)
+		}
+	}
+}
+
+// A stream that ends within its first batch must go out in one write with
+// a Content-Length, as a plain response would; flushing the HTTP response
+// at the end would force chunked framing and an extra write on every short
+// stream. Longer streams flush each full batch and are chunked.
+func TestEstimateStreamShortIsNotChunked(t *testing.T) {
+	s := NewServer(Options{})
+	s.Registry().Set(DefaultModelName, "test", unitModel(1))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, n := range []int{3, streamBatchSize + 1} {
+		body := strings.Repeat(`{"lo":[0,0],"hi":[0.5,0.5]}`+"\n", n)
+		resp, err := http.Post(ts.URL+"/v1/estimate/stream", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || strings.Count(string(out), "\n") != n {
+			t.Fatalf("n=%d: HTTP %d, %d lines, %v", n, resp.StatusCode, strings.Count(string(out), "\n"), err)
+		}
+		if chunked := resp.ContentLength < 0; chunked != (n > streamBatchSize) {
+			t.Fatalf("n=%d: Content-Length %d, transfer encoding %v", n, resp.ContentLength, resp.TransferEncoding)
 		}
 	}
 }

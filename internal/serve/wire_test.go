@@ -136,8 +136,8 @@ func TestWireParserMatchesEncodingJSON(t *testing.T) {
 		if hasQuery != single || nQueries != len(req.Queries) {
 			t.Fatalf("trial %d: form flags (%v,%d), want (%v,%d)", trial, hasQuery, nQueries, single, len(req.Queries))
 		}
-		if string(sc.nameOrDefault()) != modelName(req.Model) {
-			t.Fatalf("trial %d: model %q, want %q", trial, sc.nameOrDefault(), modelName(req.Model))
+		if string(sc.name) != req.Model {
+			t.Fatalf("trial %d: model %q, want %q", trial, sc.name, req.Model)
 		}
 		if len(sc.ranges) != n {
 			t.Fatalf("trial %d: %d ranges, want %d", trial, len(sc.ranges), n)

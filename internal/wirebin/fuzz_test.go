@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -14,9 +15,9 @@ import (
 // FuzzDecodeRequest feeds raw frame bytes (length prefix included) through
 // ReadFrame + DecodeRequest and asserts the decoder's contract: it never
 // panics, every failure is typed (ErrMalformed, ErrBadQuery, or
-// ErrFrameTooLarge), and arena growth is bounded by the declared frame
-// length — a forged count cannot make the decoder allocate more than the
-// bytes on the wire imply.
+// ErrFrameTooLarge), every decoded range holds only finite values, and
+// arena growth is bounded by the declared frame length — a forged count
+// cannot make the decoder allocate more than the bytes on the wire imply.
 func FuzzDecodeRequest(f *testing.F) {
 	box := geom.Box{Lo: geom.Point{0.1, 0.2}, Hi: geom.Point{0.6, 0.7}}
 	half := geom.Halfspace{A: geom.Point{1, 2}, B: 0.5}
@@ -31,6 +32,17 @@ func FuzzDecodeRequest(f *testing.F) {
 	seed(AppendEstimateReq(nil, []byte("m"), box))
 	seed(AppendEstimateBatchReq(nil, []byte("model-name"), []geom.Range{box, &half, ball}))
 	seed(AppendFeedbackReq(nil, nil, []geom.Range{box, ball}, []float64{0.25, 0.75}))
+	// Non-finite values in every slot a query has.
+	nan, inf := math.NaN(), math.Inf(1)
+	seed(AppendEstimateBatchReq(nil, nil, []geom.Range{
+		geom.Box{Lo: geom.Point{nan, 0}, Hi: geom.Point{1, 1}},
+		geom.Box{Lo: geom.Point{0, 0}, Hi: geom.Point{1, -inf}},
+		geom.Halfspace{A: geom.Point{1, inf}, B: 0},
+		geom.Halfspace{A: geom.Point{1, 1}, B: nan},
+		geom.Ball{Center: geom.Point{nan, 0.5}, Radius: 0.25},
+		geom.Ball{Center: geom.Point{0.5, 0.5}, Radius: inf},
+	}))
+	seed(AppendFeedbackReq(nil, nil, []geom.Range{geom.Ball{Center: geom.Point{0.5}, Radius: nan}}, []float64{0.5}))
 
 	// Truncations of a valid frame at every prefix length.
 	whole, err := AppendEstimateBatchReq(nil, []byte("m"), []geom.Range{box, half})
@@ -93,6 +105,11 @@ func FuzzDecodeRequest(f *testing.F) {
 				if req.Type == FrameFeedback && len(req.Sels) != len(req.Ranges) {
 					t.Fatalf("feedback sels %d != ranges %d", len(req.Sels), len(req.Ranges))
 				}
+				for i, q := range req.Ranges {
+					if !rangeFinite(q) {
+						t.Fatalf("range %d decoded with a non-finite value: %+v", i, q)
+					}
+				}
 			}
 			// Arena growth must be bounded by the payload: every coord
 			// consumed >= 8 payload bytes, every range >= minQueryBytes.
@@ -104,4 +121,26 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rangeFinite reports whether every coordinate and scalar of a decoded
+// range is finite.
+func rangeFinite(r geom.Range) bool {
+	var vals []float64
+	switch q := r.(type) {
+	case *geom.Box:
+		vals = append(append(vals, q.Lo...), q.Hi...)
+	case *geom.Halfspace:
+		vals = append(append(vals, q.A...), q.B)
+	case *geom.Ball:
+		vals = append(append(vals, q.Center...), q.Radius)
+	default:
+		return false
+	}
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

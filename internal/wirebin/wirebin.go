@@ -126,6 +126,7 @@ var (
 	errKind        = fmt.Errorf("%w: unknown query kind", ErrMalformed)
 	errNoQueries   = fmt.Errorf("%w: no queries given", ErrBadQuery)
 	errRadius      = fmt.Errorf("%w: ball query needs a non-negative radius", ErrBadQuery)
+	errNonFinite   = fmt.Errorf("%w: query holds a NaN or infinite value", ErrBadQuery)
 	errSelRange    = fmt.Errorf("%w: sel must be in [0,1]", ErrBadQuery)
 )
 
@@ -230,9 +231,23 @@ func (r *reader) floats(a *Arena, n int) geom.Point {
 	return geom.Point(a.coords[start : start+n : start+n])
 }
 
+// finite reports whether every value is a real number: no NaN, no ±Inf.
+//
+//selvet:zeroalloc
+func finite(vals ...float64) bool {
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeQuery decodes one query into the arena, returning a pointer-typed
 // range (a *geom.Box fits the interface word, keeping the path
-// allocation-free — same trick as the JSON arena parser).
+// allocation-free — same trick as the JSON arena parser). Non-finite
+// values are rejected: no JSON query can carry them, and a NaN corner
+// would yield a NaN estimate or poison the feedback the model learns from.
 //
 //selvet:zeroalloc
 func (r *reader) decodeQuery(a *Arena) (geom.Range, error) {
@@ -255,6 +270,9 @@ func (r *reader) decodeQuery(a *Arena) (geom.Range, error) {
 		}
 		lo := r.floats(a, dim)
 		hi := r.floats(a, dim)
+		if !finite(lo...) || !finite(hi...) {
+			return nil, errNonFinite
+		}
 		a.boxes = append(a.boxes, geom.Box{Lo: lo, Hi: hi})
 		return &a.boxes[len(a.boxes)-1], nil
 	case kindHalfspace:
@@ -263,6 +281,9 @@ func (r *reader) decodeQuery(a *Arena) (geom.Range, error) {
 		}
 		av := r.floats(a, dim)
 		b, _ := r.f64()
+		if !finite(av...) || !finite(b) {
+			return nil, errNonFinite
+		}
 		a.halfs = append(a.halfs, geom.Halfspace{A: av, B: b})
 		return &a.halfs[len(a.halfs)-1], nil
 	case kindBall:
@@ -271,8 +292,11 @@ func (r *reader) decodeQuery(a *Arena) (geom.Range, error) {
 		}
 		c := r.floats(a, dim)
 		rad, _ := r.f64()
-		if rad < 0 {
+		if !(rad >= 0) { // rejects NaN too
 			return nil, errRadius
+		}
+		if !finite(c...) || !finite(rad) {
+			return nil, errNonFinite
 		}
 		a.balls = append(a.balls, geom.Ball{Center: c, Radius: rad})
 		return &a.balls[len(a.balls)-1], nil

@@ -175,6 +175,20 @@ func TestDecodeRequestErrors(t *testing.T) {
 			f[len(f)-1] |= 0x80
 			return f
 		}(), ErrBadQuery},
+		{"NaN box corner", mustFrame(AppendEstimateReq(nil, nil,
+			geom.Box{Lo: geom.Point{math.NaN()}, Hi: geom.Point{1}})), ErrBadQuery},
+		{"infinite box corner", mustFrame(AppendFeedbackReq(nil, nil,
+			[]geom.Range{geom.Box{Lo: geom.Point{0}, Hi: geom.Point{math.Inf(1)}}}, []float64{0.5})), ErrBadQuery},
+		{"NaN halfspace normal", mustFrame(AppendEstimateReq(nil, nil,
+			geom.Halfspace{A: geom.Point{math.NaN()}, B: 0.5})), ErrBadQuery},
+		{"infinite halfspace offset", mustFrame(AppendEstimateReq(nil, nil,
+			geom.Halfspace{A: geom.Point{1}, B: math.Inf(-1)})), ErrBadQuery},
+		{"infinite ball center", mustFrame(AppendEstimateReq(nil, nil,
+			geom.Ball{Center: geom.Point{math.Inf(-1)}, Radius: 0.5})), ErrBadQuery},
+		{"NaN radius", mustFrame(AppendFeedbackReq(nil, nil,
+			[]geom.Range{geom.Ball{Center: geom.Point{0.5}, Radius: math.NaN()}}, []float64{0.5})), ErrBadQuery},
+		{"infinite radius", mustFrame(AppendEstimateReq(nil, nil,
+			geom.Ball{Center: geom.Point{0.5}, Radius: math.Inf(1)})), ErrBadQuery},
 		{"sel out of range", func() []byte {
 			f, _ := AppendFeedbackReq(nil, nil, []geom.Range{box}, []float64{2})
 			return f

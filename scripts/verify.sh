@@ -87,13 +87,18 @@ go test -race -run 'TestReweightConcurrentNoTear' -count=1 ./internal/bvh
 # benchmark arm here keeps the ns/op number visible in verify output).
 go test -run 'TestObsDisabledAllocs' -bench 'BenchmarkObsDisabled/' -benchtime 1000x .
 # Binary wire protocol gates (DESIGN.md §15): the frame codec must stay
-# race-clean, the decoder must survive its fuzz corpus, binary estimates
-# must be bit-identical to the JSON path, the per-frame server path must
-# measure exactly 0 allocs/op, and pooled per-connection state must stay
-# tear-free under concurrent connections + model hot-swaps.
+# race-clean, the decoder must survive its fuzz corpus and decode only
+# finite ranges, binary estimates must be bit-identical to the JSON path,
+# the per-frame server path must measure exactly 0 allocs/op, and pooled
+# per-connection state must stay tear-free under concurrent connections +
+# model hot-swaps. TestBinJSONEquivalence also holds the shared fault
+# table (every estimate transport answers a fault with the same class and
+# message) and the cached-stream case; TestRetrainSurvivesDimensionFaults
+# runs the retrain loop against wrong-dimension feedback and a
+# dimension-changing upload.
 go test -race -count=1 ./internal/wirebin
 go test -run 'FuzzDecodeRequest' -count=1 ./internal/wirebin
-go test -race -run 'TestBinJSONEquivalence|TestBinConcurrentSwaps' -count=1 ./internal/serve
+go test -race -run 'TestBinJSONEquivalence|TestBinConcurrentSwaps|TestRetrainSurvivesDimensionFaults' -count=1 ./internal/serve
 go test -run 'TestBinFrameZeroAlloc' -count=1 ./internal/serve
 # Binary snapshot gates: load must seed the BVH (no rebuild on
 # Accelerate) and corrupted/truncated snapshots must fail typed.
