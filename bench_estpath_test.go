@@ -2,9 +2,11 @@ package selest
 
 // Estimate hot-path benchmarks (DESIGN.md §10): the three serving kernels
 // — flat O(m) scan, BVH index, BVH behind the serving cache — at growing
-// bucket counts, plus end-to-end batched /v1/estimate throughput by
-// worker count. scripts/bench.sh folds these into BENCH_<n>.json with
-// intra-run speedups (flat kernel and single-worker serving as baselines).
+// bucket counts, the BVH on a sparse model, the flat-versus-tree crossover
+// below the indexing threshold, plus end-to-end batched /v1/estimate
+// throughput by worker count. scripts/bench.sh folds these into
+// BENCH_<n>.json with intra-run speedups (flat kernel, dense BVH and
+// single-worker serving as baselines).
 
 import (
 	"fmt"
@@ -51,6 +53,26 @@ func estPathModel(m int) *hist.Model {
 	return &hist.Model{Buckets: buckets, Weights: weights}
 }
 
+// sparseEstPathModel is estPathModel with a fixed 40% of its weights set
+// to zero and the rest renormalized, about the share NNLS leaves at zero
+// on a trained QUADHIST; the dense grid cannot show what skipping
+// zero-weight buckets saves.
+func sparseEstPathModel(m int) *hist.Model {
+	dense := estPathModel(m)
+	weights := make([]float64, m)
+	total := 0.0
+	for j, w := range dense.Weights {
+		if j%5 >= 2 {
+			weights[j] = w
+			total += w
+		}
+	}
+	for j := range weights {
+		weights[j] /= total
+	}
+	return &hist.Model{Buckets: dense.Buckets, Weights: weights}
+}
+
 // estPathQueries returns n deterministic random boxes over [0,1]².
 func estPathQueries(n int) []geom.Box {
 	r := rng.New(7)
@@ -80,6 +102,14 @@ func BenchmarkEstimatePath(b *testing.B) {
 				model.Estimate(queries[i%len(queries)])
 			}
 		})
+		sparse := sparseEstPathModel(m)
+		b.Run(fmt.Sprintf("sparse/m=%d", m), func(b *testing.B) {
+			core.Accelerate(sparse)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sparse.Estimate(queries[i%len(queries)])
+			}
+		})
 		b.Run(fmt.Sprintf("cached/m=%d", m), func(b *testing.B) {
 			core.Accelerate(model)
 			cache := serve.NewEstimateCache(4 * len(queries))
@@ -94,6 +124,27 @@ func BenchmarkEstimatePath(b *testing.B) {
 					continue
 				}
 				cache.Put("bench", 1, key, model.Estimate(q))
+			}
+		})
+	}
+}
+
+// BenchmarkIndexCrossover sweeps the bucket counts around
+// bvh.IndexThreshold, the flat kernel against a tree built regardless of
+// the threshold, to find the smallest m at which the walk wins.
+func BenchmarkIndexCrossover(b *testing.B) {
+	queries := estPathQueries(256)
+	for _, m := range []int{16, 25, 36, 49, 64, 81, 100, 144, 196, 256} {
+		model := estPathModel(m)
+		tree := bvh.Build(model.Buckets, model.Weights)
+		b.Run(fmt.Sprintf("flat/m=%d", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bvh.EstimateFlat(model.Buckets, model.Weights, queries[i%len(queries)])
+			}
+		})
+		b.Run(fmt.Sprintf("bvh/m=%d", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tree.Estimate(queries[i%len(queries)])
 			}
 		})
 	}

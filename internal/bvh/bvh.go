@@ -44,6 +44,10 @@ const maxLeafSize = 8
 // only a new weight vector's worth of cached sums. The online-learning
 // fast path (internal/online) publishes one such structurally-shared tree
 // per feedback update.
+//
+// A 2-D tree also carries packed records for the box walk (see node2):
+// one per node and one per nonzero-weight bucket, derived from the arrays
+// and weights by pack2 whenever a tree is built, loaded or reweighted.
 type Tree struct {
 	dim int
 	// Node arrays, indexed by node id. Ids are assigned in build order
@@ -62,6 +66,27 @@ type Tree struct {
 	weights []float64
 	invVols []float64
 	wsums   []float64 // subtree weight sums, indexed by node id
+
+	// The 2-D box walk's records; nil unless dim is 2.
+	nodes2   []node2   // indexed by node id
+	buckets2 []bucket2 // nonzero-weight buckets in leaf order
+}
+
+// node2 is one node of a 2-D tree packed for the box walk: bounding box,
+// subtree weight sum, links and leaf window in one 56-byte record, so a
+// visit reads one record instead of five to seven arrays.
+type node2 struct {
+	lo0, lo1, hi0, hi1 float64
+	wsum               float64
+	left, right        int32 // child node ids, -1 at leaves
+	off, cnt           int32 // a leaf's window into the bucket records
+}
+
+// bucket2 is one nonzero-weight bucket of a 2-D tree packed for the box
+// walk: corners, weight and inverse volume in one 48-byte record.
+type bucket2 struct {
+	lo0, lo1, hi0, hi1 float64
+	w, invVol          float64
 }
 
 // Build constructs a BVH over the buckets with the given weights. The
@@ -96,6 +121,7 @@ func Build(buckets []geom.Box, weights []float64) *Tree {
 	t.build(idx)
 	t.wsums = make([]float64, t.numNodes())
 	t.sumWeights()
+	t.nodes2, t.buckets2 = pack2(t)
 	return t
 }
 
@@ -184,6 +210,7 @@ func (t *Tree) Reweight(w []float64) *Tree {
 		nt.wsums = make([]float64, n)
 		nt.sumWeights()
 	}
+	nt.nodes2, nt.buckets2 = pack2(nt)
 	return nt
 }
 
@@ -224,9 +251,9 @@ func (t *Tree) Estimate(r geom.Range) float64 {
 	var s float64
 	switch q := r.(type) {
 	case geom.Box:
-		s = t.estimateBox(0, q.Lo, q.Hi)
+		s = t.boxSum(q.Lo, q.Hi)
 	case *geom.Box:
-		s = t.estimateBox(0, q.Lo, q.Hi)
+		s = t.boxSum(q.Lo, q.Hi)
 	default:
 		s = t.estimate(0, r)
 	}
@@ -237,6 +264,98 @@ func (t *Tree) Estimate(r geom.Range) float64 {
 		return 1
 	}
 	return s
+}
+
+// boxSum is the unclamped box-query sum: the packed walk when both the tree
+// and the query are 2-D, the generic coordinate walk otherwise.
+func (t *Tree) boxSum(lo, hi geom.Point) float64 {
+	if t.nodes2 != nil && len(lo) == 2 && len(hi) == 2 {
+		return estimateBox2(t.nodes2, t.buckets2, 0, lo[0], lo[1], hi[0], hi[1])
+	}
+	return t.estimateBox(0, lo, hi)
+}
+
+// estimateBox2 is estimateBox unrolled for two dimensions over the packed
+// records, with the query's corners passed in registers. It makes the same
+// comparisons, in the same negated forms (so NaN coordinates classify
+// alike), and the same additions in the same order: bucket records keep
+// leaf order and omit only the zero-weight buckets estimateBox skips, and
+// the intersection volume 1·side₀·side₁ of the generic loop equals
+// side₀·side₁ exactly. Every estimate therefore keeps its bits.
+func estimateBox2(ns []node2, bs []bucket2, id int32, lo0, lo1, hi0, hi1 float64) float64 {
+	n := &ns[id]
+	if n.wsum == 0 {
+		return 0
+	}
+	if lo0 > n.hi0 || n.lo0 > hi0 || lo1 > n.hi1 || n.lo1 > hi1 {
+		return 0 // disjoint
+	}
+	if !(n.lo0 < lo0 || n.hi0 > hi0 || n.lo1 < lo1 || n.hi1 > hi1) {
+		return n.wsum // contained
+	}
+	if n.left >= 0 {
+		return estimateBox2(ns, bs, n.left, lo0, lo1, hi0, hi1) + estimateBox2(ns, bs, n.right, lo0, lo1, hi0, hi1)
+	}
+	s := 0.0
+	leaf := bs[n.off : n.off+n.cnt]
+	for i := range leaf {
+		b := &leaf[i]
+		if lo0 > b.hi0 || b.lo0 > hi0 || lo1 > b.hi1 || b.lo1 > hi1 {
+			continue
+		}
+		if !(b.lo0 < lo0 || b.hi0 > hi0 || b.lo1 < lo1 || b.hi1 > hi1) {
+			s += b.w
+			continue
+		}
+		side0 := min(b.hi0, hi0) - max(b.lo0, lo0)
+		side1 := min(b.hi1, hi1) - max(b.lo1, lo1)
+		if side0 <= 0 || side1 <= 0 || b.invVol == 0 {
+			continue
+		}
+		s += side0 * side1 * b.invVol * b.w
+	}
+	return s
+}
+
+// pack2 derives the 2-D box walk's records from a tree's arrays, subtree
+// sums and weights, or returns nil for other dimensions. Every bucket sits
+// in exactly one leaf (Build makes it so and FromRaw checks it), so
+// counting the nonzero weights first sizes the bucket records exactly.
+func pack2(t *Tree) ([]node2, []bucket2) {
+	n := t.numNodes()
+	if t.dim != 2 || n == 0 {
+		return nil, nil
+	}
+	nonzero := 0
+	for _, w := range t.weights {
+		if w != 0 {
+			nonzero++
+		}
+	}
+	ns := make([]node2, n)
+	bs := make([]bucket2, 0, nonzero)
+	for id := range ns {
+		nd := &ns[id]
+		nd.lo0, nd.lo1 = t.nlo[2*id], t.nlo[2*id+1]
+		nd.hi0, nd.hi1 = t.nhi[2*id], t.nhi[2*id+1]
+		nd.wsum = t.wsums[id]
+		nd.left, nd.right = t.left[id], t.right[id]
+		if nd.left >= 0 {
+			continue
+		}
+		nd.off = int32(len(bs))
+		for _, j := range t.leafIdx[t.loff[id] : t.loff[id]+t.lcnt[id]] {
+			if w := t.weights[j]; w != 0 {
+				bs = append(bs, bucket2{
+					lo0: t.blo[2*j], lo1: t.blo[2*j+1],
+					hi0: t.bhi[2*j], hi1: t.bhi[2*j+1],
+					w: w, invVol: t.invVols[j],
+				})
+			}
+		}
+		nd.cnt = int32(len(bs)) - nd.off
+	}
+	return ns, bs
 }
 
 // estimateBox is the box-query walk: node and bucket classification are
@@ -451,10 +570,11 @@ func EstimateFlat(buckets []geom.Box, weights []float64, r geom.Range) float64 {
 }
 
 // IndexThreshold is the bucket count at which box-bucketed models switch
-// from the flat kernel to a BVH walk. Below it the flat scan's tight loop
-// beats the tree walk; above it the walk touches only the O(√m) boundary
-// buckets. The crossover was measured with the estpath benchmark
-// (cmd/selbench -estpath).
+// from the flat kernel to a BVH walk, which touches only the O(√m)
+// boundary buckets. BenchmarkIndexCrossover finds the tree faster at every
+// m from 16 up, but the flat kernel and the tree sum in different orders,
+// so moving the threshold would change the bits of every model in the
+// moved range.
 const IndexThreshold = 64
 
 // Lazy is a lazily-built, immutably-shared BVH over a fixed bucket set.
@@ -530,9 +650,10 @@ func (t *Tree) Raw() Raw {
 // FromRaw reconstructs a Tree from exported structural arrays plus the
 // owning model's buckets and weights, validating every cross-reference so
 // corrupt or adversarial input yields an error instead of a tree whose
-// walks read out of bounds. All slices (including blo/bhi, which callers
-// typically alias into the same backing store as the bucket corners) are
-// captured, not copied.
+// walks read out of bounds or reach a bucket twice or never. All slices
+// (including blo/bhi, which callers typically alias into the same backing
+// store as the bucket corners) are captured, not copied; the 2-D walk's
+// records are derived from them.
 func FromRaw(r Raw, buckets []geom.Box, weights []float64, blo, bhi []float64) (*Tree, error) {
 	m, n := len(buckets), len(r.Left)
 	d := r.Dim
@@ -575,7 +696,12 @@ func FromRaw(r Raw, buckets []geom.Box, weights []float64, blo, bhi []float64) (
 			return nil, fmt.Errorf("bvh: leafIdx entry %d out of range", j)
 		}
 	}
-	return &Tree{
+	if n > 0 {
+		if err := checkReach(r, m); err != nil {
+			return nil, err
+		}
+	}
+	t := &Tree{
 		dim:     d,
 		nlo:     r.NLo,
 		nhi:     r.NHi,
@@ -590,5 +716,47 @@ func FromRaw(r Raw, buckets []geom.Box, weights []float64, blo, bhi []float64) (
 		weights: weights,
 		invVols: r.InvVols,
 		wsums:   r.WSums,
-	}, nil
+	}
+	t.nodes2, t.buckets2 = pack2(t)
+	return t, nil
+}
+
+// checkReach walks r from the root and fails unless the walk reaches every
+// node and every one of the m buckets exactly once. Links and windows must
+// already be in range. A tree that shares a subtree or a bucket between
+// two parents, or leaves one out, would count its weights twice or never.
+func checkReach(r Raw, m int) error {
+	n := len(r.Left)
+	nodeSeen := make([]bool, n)
+	bucketSeen := make([]bool, m)
+	stack := []int32{0}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if nodeSeen[id] {
+			return fmt.Errorf("bvh: node %d reached twice", id)
+		}
+		nodeSeen[id] = true
+		if r.Left[id] >= 0 {
+			stack = append(stack, r.Right[id], r.Left[id])
+			continue
+		}
+		for _, j := range r.LeafIdx[r.LOff[id] : r.LOff[id]+r.LCnt[id]] {
+			if bucketSeen[j] {
+				return fmt.Errorf("bvh: bucket %d reached twice", j)
+			}
+			bucketSeen[j] = true
+		}
+	}
+	for id, ok := range nodeSeen {
+		if !ok {
+			return fmt.Errorf("bvh: node %d unreachable from the root", id)
+		}
+	}
+	for j, ok := range bucketSeen {
+		if !ok {
+			return fmt.Errorf("bvh: bucket %d in no leaf", j)
+		}
+	}
+	return nil
 }

@@ -2,7 +2,9 @@ package modelio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -166,6 +168,34 @@ func TestBinaryCorruption(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBinaryRejectsTreeReachingBucketTwice: a snapshot whose checksums
+// are all valid but whose tree reaches one bucket twice (leafIdx[1] =
+// leafIdx[0]) must fail as an invalid model, not load a tree that counts
+// that bucket's weight twice.
+func TestBinaryRejectsTreeReachingBucketTwice(t *testing.T) {
+	data := snapshot(t, gridModel(16))
+	const maxSecs = 3
+	for i := 0; i < maxSecs; i++ {
+		e := data[16+32*i:]
+		if binary.LittleEndian.Uint32(e) != secBVH {
+			continue
+		}
+		sec := data[binary.LittleEndian.Uint64(e[8:]):][:binary.LittleEndian.Uint64(e[16:])]
+		dim := int(binary.LittleEndian.Uint32(sec))
+		nodes := int(binary.LittleEndian.Uint64(sec[8:]))
+		leafIdx := sec[24+2*8*nodes*dim+4*4*nodes:]
+		copy(leafIdx[4:8], leafIdx[0:4])
+		binary.LittleEndian.PutUint32(e[24:], crc32.ChecksumIEEE(sec))
+		crcOff := 16 + maxSecs*32
+		binary.LittleEndian.PutUint32(data[crcOff:], crc32.ChecksumIEEE(data[:crcOff]))
+		if _, err := LoadBinary(data); !errors.Is(err, ErrInvalidModel) {
+			t.Fatalf("LoadBinary = %v, want ErrInvalidModel", err)
+		}
+		return
+	}
+	t.Fatal("snapshot has no BVH section")
 }
 
 // TestLoadAnySniffsFormat checks both formats load through LoadAny.

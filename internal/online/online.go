@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/bvh"
 	"repro/internal/core"
+	"repro/internal/geom"
 )
 
 // Rule selects the per-observation update rule.
@@ -175,20 +176,26 @@ func ForModel(m core.Model, opts Options) (Updater, bool) {
 	// is seeded (an O(m) reweight instead of a rebuild) and the first
 	// estimate after a publish is already sub-linear.
 	core.Accelerate(m)
-	// The updater keeps a private geometry index for coverage enumeration
-	// at the same threshold the estimate path indexes at; smaller models
+	// Coverage rows read only the index's geometry, which every tree
+	// reweighted from it shares, so the base model's index serves every
+	// later model too. Models below bvh.IndexThreshold have none and
 	// enumerate coverage with the flat scan.
-	if len(buckets) >= bvh.IndexThreshold {
-		u.tree = bvh.Build(buckets, weights)
+	if im, ok := m.(indexed); ok {
+		u.tree = im.IndexTree()
 	}
 	return u, true
+}
+
+// indexed is the model surface that exposes a built BVH index.
+type indexed interface {
+	IndexTree() *bvh.Tree
 }
 
 // weightUpdater implements Updater over a core.Reweightable family.
 type weightUpdater struct {
 	cur     core.Reweightable
 	weights []float64 // cur's weight vector (never mutated in place)
-	tree    *bvh.Tree // coverage index over the fixed bucket geometry; nil = flat scan
+	tree    *bvh.Tree // the base model's index, for coverage rows; nil = flat scan
 	sum0    float64   // training-time total mass, restored after every batch
 	opts    Options
 
@@ -251,18 +258,7 @@ func (u *weightUpdater) applyOne(w []float64, z core.LabeledQuery) bool {
 	if z.R.Dim() != buckets[0].Dim() {
 		return false
 	}
-	idx := u.touchIdx[:0]
-	frac := u.touchFrac[:0]
-	collect := func(j int, f float64) {
-		idx = append(idx, j)
-		frac = append(frac, f)
-	}
-	if u.tree != nil {
-		u.tree.ForEachOverlap(z.R, collect)
-	} else {
-		bvh.ForEachOverlapFlat(buckets, z.R, collect)
-	}
-	u.touchIdx, u.touchFrac = idx, frac
+	idx, frac := u.coverage(buckets, z.R)
 	if len(idx) == 0 {
 		return false
 	}
@@ -298,6 +294,24 @@ func (u *weightUpdater) applyOne(w []float64, z core.LabeledQuery) bool {
 		}
 	}
 	return true
+}
+
+// coverage enumerates the query's coverage row — the buckets it overlaps
+// and their fractions — into the updater's reused scratch.
+func (u *weightUpdater) coverage(buckets []geom.Box, r geom.Range) ([]int, []float64) {
+	idx := u.touchIdx[:0]
+	frac := u.touchFrac[:0]
+	collect := func(j int, f float64) {
+		idx = append(idx, j)
+		frac = append(frac, f)
+	}
+	if u.tree != nil {
+		u.tree.ForEachOverlap(r, collect)
+	} else {
+		bvh.ForEachOverlapFlat(buckets, r, collect)
+	}
+	u.touchIdx, u.touchFrac = idx, frac
+	return idx, frac
 }
 
 // restoreMass rescales w so Σw = sum0, reporting false when the vector has

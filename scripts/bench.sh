@@ -104,6 +104,11 @@ BEGIN {
         key = name
         sub(/^BenchmarkEstimatePath\//, "estpath_", key)
         sub(/\/m=/, "_m", key)
+    } else if (name ~ /^BenchmarkIndexCrossover\//) {
+        # BenchmarkIndexCrossover/bvh/m=64 -> crossover_bvh_m64
+        key = name
+        sub(/^BenchmarkIndexCrossover\//, "crossover_", key)
+        sub(/\/m=/, "_m", key)
     } else if (name ~ /^BenchmarkServeEstimateBatch\//) {
         # BenchmarkServeEstimateBatch/workers=4 -> serve_batch_w4
         key = name
@@ -163,12 +168,19 @@ END {
         } else {
             # Intra-run baselines for benchmarks that carry their own
             # reference arm: the flat kernel at the same bucket count for
-            # the estimate-path arms, the single-worker run for batched
-            # serving throughput.
+            # the estimate-path and crossover arms, the dense tree for the
+            # sparse arm, the single-worker run for batched serving
+            # throughput.
             ref = ""
             if (key ~ /^estpath_(bvh|cached)_m/) {
                 ref = key
                 sub(/^estpath_[a-z]+_/, "estpath_flat_", ref)
+            } else if (key ~ /^estpath_sparse_m/) {
+                ref = key
+                sub(/^estpath_sparse_/, "estpath_bvh_", ref)
+            } else if (key ~ /^crossover_bvh_m/) {
+                ref = key
+                sub(/^crossover_bvh_/, "crossover_flat_", ref)
             } else if (key ~ /^serve_batch_w/ && key != "serve_batch_w1") {
                 ref = "serve_batch_w1"
             } else if (key ~ /^serve_stream_w/ && key != "serve_stream_w1") {

@@ -70,7 +70,7 @@ go test -run 'TestOnlineDeterminism|TestDeterministicFold' ./internal/serve ./in
 # endpoint, so a perf regression that breaks either harness is caught here
 # rather than in scripts/bench.sh.
 go test -run '^$' -bench 'BenchmarkFig09$' -benchtime 1x .
-go test -run '^$' -bench 'BenchmarkEstimatePath/|BenchmarkServeEstimateBatch/|BenchmarkServeEstimateStream/' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkEstimatePath/|BenchmarkIndexCrossover/|BenchmarkServeEstimateBatch/|BenchmarkServeEstimateStream/' -benchtime 1x .
 # Wire-path zero-allocation gate: the steady-state single-estimate path
 # through the full mux (pooled codecs, arena parse, hand-rolled encode)
 # must measure exactly 0 allocs/op — this is the contract DESIGN.md §13
@@ -79,9 +79,11 @@ go test -run 'TestEstimateHandlerZeroAlloc' -count=1 ./internal/serve
 # Stream endpoint concurrency gate: per-connection pooled state and the
 # registry's COW publication must stay tear-free under concurrent streams
 # and model hot-swaps; the BVH Reweight path gets the same treatment since
-# streaming estimates read trees that online learning republishes.
+# streaming estimates read trees that online learning republishes. The
+# packed 2-D box walk must keep estimateBox's exact bits on built, loaded
+# and reweighted trees.
 go test -race -run 'TestEstimateStreamConcurrentWithSwaps' -count=1 ./internal/serve
-go test -race -run 'TestReweightConcurrentNoTear' -count=1 ./internal/bvh
+go test -race -run 'TestReweightConcurrentNoTear|TestPropertyWalk2MatchesEstimateBoxBits' -count=1 ./internal/bvh
 # Observability zero-cost gate: the disabled span path must stay at
 # 0 allocs/op (TestObsDisabledAllocs fails the suite otherwise; the
 # benchmark arm here keeps the ns/op number visible in verify output).
@@ -101,8 +103,9 @@ go test -run 'FuzzDecodeRequest' -count=1 ./internal/wirebin
 go test -race -run 'TestBinJSONEquivalence|TestBinConcurrentSwaps|TestRetrainSurvivesDimensionFaults' -count=1 ./internal/serve
 go test -run 'TestBinFrameZeroAlloc' -count=1 ./internal/serve
 # Binary snapshot gates: load must seed the BVH (no rebuild on
-# Accelerate) and corrupted/truncated snapshots must fail typed.
-go test -run 'TestBinaryRoundTripEstimates|TestBinaryLoadSeedsIndex|TestBinaryCorruption' -count=1 ./internal/modelio
+# Accelerate) and corrupted/truncated snapshots must fail typed, including
+# a checksum-valid tree that reaches a bucket twice.
+go test -run 'TestBinaryRoundTripEstimates|TestBinaryLoadSeedsIndex|TestBinaryCorruption|TestBinaryRejectsTreeReachingBucketTwice' -count=1 ./internal/modelio
 # Load-harness gates (DESIGN.md §16). First the library contracts: the
 # open-loop schedule must be byte-identical across worker counts and the
 # shared latency reporter must render the same bytes at any fill
