@@ -13,7 +13,7 @@
 //
 //	curl -s localhost:8080/v1/estimate -d '{"query":{"lo":[0,0],"hi":[0.3,0.3]}}'
 //	curl -s localhost:8080/v1/feedback -d '{"observations":[{"lo":[0,0],"hi":[0.3,0.3],"sel":0.11}]}'
-//	curl -s localhost:8080/statz
+//	curl -s localhost:8080/statz     # model inventory, last retrain
 //	curl -s localhost:8080/metrics
 //	curl -s "localhost:8080/debug/trace" > trace.json   # chrome://tracing
 //
@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -140,6 +141,19 @@ func main() {
 		)
 	}
 
+	// Bind both listeners before serving on either: a port that cannot be
+	// bound ends start-up instead of leaving a server that answers on one
+	// listener and reports the other only at shutdown.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(logger, err)
+	}
+	var lnBin net.Listener
+	if *addrBin != "" {
+		if lnBin, err = net.Listen("tcp", *addrBin); err != nil {
+			fatal(logger, err)
+		}
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	logger.Info("selserve listening",
@@ -151,16 +165,16 @@ func main() {
 		slog.Bool("online", *onlineOn),
 	)
 	// The binary listener runs beside HTTP; model lifecycle (retrainer,
-	// registry) lives with the HTTP Serve loop, so RunBin only serves
+	// registry) lives with the HTTP Serve loop, so ServeBin only serves
 	// frames. Both drain on the same signal context.
 	errc := make(chan error, 1)
-	if *addrBin != "" {
-		go func() { errc <- srv.RunBin(ctx, *addrBin) }()
+	if lnBin != nil {
+		go func() { errc <- srv.ServeBin(ctx, lnBin) }()
 	}
-	if err := srv.Run(ctx, *addr); err != nil {
+	if err := srv.Serve(ctx, ln); err != nil {
 		fatal(logger, err)
 	}
-	if *addrBin != "" {
+	if lnBin != nil {
 		if err := <-errc; err != nil {
 			fatal(logger, err)
 		}

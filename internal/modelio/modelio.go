@@ -45,8 +45,9 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// typeNameOf maps concrete model types to their envelope tags.
-func typeNameOf(m core.Model) (string, bool) {
+// TypeName maps a concrete model type to its envelope tag; ok is false
+// for types this package cannot save.
+func TypeName(m core.Model) (name string, ok bool) {
 	switch m.(type) {
 	case *hist.Model:
 		return "quadhist", true
@@ -65,7 +66,7 @@ func typeNameOf(m core.Model) (string, bool) {
 // Save writes the model to w. Only the concrete model types of this
 // repository are supported.
 func Save(w io.Writer, m core.Model) error {
-	name, ok := typeNameOf(m)
+	name, ok := TypeName(m)
 	if !ok {
 		return fmt.Errorf("modelio: unsupported model type %T", m)
 	}

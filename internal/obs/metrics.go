@@ -83,8 +83,9 @@ func (g *Gauge) Value() float64 {
 // Prometheus convention); the sum accumulates in integer ticks of 1e-9 so
 // that concurrent observation order can never change the exposed bytes
 // (integer addition commutes exactly; float accumulation does not). The
-// maximum is tracked exactly via a CAS loop, so Quantile(1) is exact and
-// every other quantile is exact to within one bucket's resolution.
+// maximum is tracked exactly via a CAS loop, so a Snapshot's Quantile(1)
+// is exact and every other quantile is exact to within one bucket's
+// resolution.
 //
 // The zero value is not usable — buckets come from the Registry (or
 // NewHistogram). Methods on a nil *Histogram are no-ops.
@@ -225,65 +226,6 @@ func (h *Histogram) Max() float64 {
 		return 0
 	}
 	return unorderedBits(b)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) of the recorded
-// distribution. Within a bucket the value is interpolated geometrically
-// (the buckets are log-spaced), so the estimate is exact to within one
-// bucket's width; Quantile(1) returns the exact maximum. Returns 0 before
-// any observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	if q < 0 {
-		q = 0
-	}
-	// Rank of the target observation, 1-based.
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		frac := float64(rank-cum) / float64(c)
-		lo, hi := h.bucketEdges(i)
-		if i == len(h.bounds) {
-			// Overflow bucket: bounded above by the exact max.
-			hi = math.Max(h.Max(), lo)
-		}
-		if lo <= 0 {
-			return hi * frac // first bucket: linear from zero
-		}
-		return lo * math.Pow(hi/lo, frac)
-	}
-	return h.Max()
-}
-
-// bucketEdges returns the (lower, upper) value range of bucket i.
-func (h *Histogram) bucketEdges(i int) (lo, hi float64) {
-	if i == 0 {
-		return 0, h.bounds[0]
-	}
-	if i == len(h.bounds) {
-		return h.bounds[len(h.bounds)-1], math.Inf(1)
-	}
-	return h.bounds[i-1], h.bounds[i]
 }
 
 // ---- registry -------------------------------------------------------------

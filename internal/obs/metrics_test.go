@@ -37,7 +37,7 @@ func TestNilHandlesAreInert(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Snapshot().Quantile(0.5) != 0 {
 		t.Fatal("nil metric handles must read as zero")
 	}
 }
@@ -87,13 +87,14 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Max(); got != 10 {
 		t.Fatalf("max = %v, want exactly 10", got)
 	}
-	if got := h.Quantile(1); got != 10 {
+	s := h.Snapshot()
+	if got := s.Quantile(1); got != 10 {
 		t.Fatalf("q1 = %v, want exact max 10", got)
 	}
 	// Log-spaced buckets at 4/decade: the estimate must land within one
 	// bucket (×10^0.25 ≈ 1.78) of the true quantile.
 	for _, tc := range []struct{ q, truth float64 }{{0.5, 5.0}, {0.95, 9.5}, {0.99, 9.9}} {
-		got := h.Quantile(tc.q)
+		got := s.Quantile(tc.q)
 		if got < tc.truth/1.9 || got > tc.truth*1.9 {
 			t.Fatalf("q%.2f = %v, want within a bucket of %v", tc.q, got, tc.truth)
 		}
@@ -107,11 +108,11 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramQuantileEmptyAndSingle(t *testing.T) {
 	h := NewHistogram(LatencyBuckets)
-	if h.Quantile(0.5) != 0 || h.Max() != 0 {
+	if h.Snapshot().Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(0.5)
-	if got := h.Quantile(1); got != 0.5 {
+	if got := h.Snapshot().Quantile(1); got != 0.5 {
 		t.Fatalf("q1 after one observation = %v, want 0.5", got)
 	}
 }

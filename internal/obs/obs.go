@@ -7,17 +7,16 @@
 // Three pillars:
 //
 //   - Metrics: a Registry of atomic counters, gauges, and log-spaced-bucket
-//     histograms with quantile estimation, exported as deterministic
-//     (name- and label-sorted) Prometheus text exposition. The serving
-//     layer mounts it at GET /metrics and rebuilds /statz on top of the
-//     same structures.
+//     histograms, exported as deterministic (name- and label-sorted)
+//     Prometheus text exposition; histogram snapshots, live or scraped,
+//     estimate quantiles. The serving layer mounts it at GET /metrics.
 //   - Tracing: request- and run-scoped trace IDs with hierarchical spans,
 //     counter-based 1-in-N sampling, a bounded in-memory span ring, and a
 //     Chrome trace-event JSON exporter (GET /debug/trace on the server,
 //     `seltrain -trace out.json` offline).
 //   - Training stats: TrainLog collects per-stage wall time and solver
 //     iteration counts from the learners into a TrainStats value that
-//     flows to seltrain/selbench output and the retrainer's /statz block.
+//     flows to seltrain/selbench output and the last retrain on /statz.
 //
 // Cost contract: the disabled paths are free enough to stay compiled into
 // the hot paths. A span start/stop with sampling off is a nil/atomic check

@@ -4,11 +4,10 @@ import "math"
 
 // HistogramSnapshot is a point-in-time copy of a Histogram's state,
 // decoupled from the live atomics. Snapshots support interval arithmetic
-// (Delta) and the same quantile estimation as the live histogram, which is
-// what turns two scrapes of a cumulative histogram into a rate: the load
-// harness snapshots the server's latency histograms before and after a run
-// and reports quantiles of the traffic in between, not of the whole
-// uptime.
+// (Delta) and quantile estimation, which is what turns two scrapes of a
+// cumulative histogram into a rate: the load harness snapshots the
+// server's latency histograms before and after a run and reports
+// quantiles of the traffic in between, not of the whole uptime.
 //
 // Counts are per-bucket (NOT cumulative); Counts[len(Bounds)] is the
 // overflow bucket.
@@ -73,10 +72,12 @@ func (s HistogramSnapshot) Delta(prev HistogramSnapshot) HistogramSnapshot {
 	return d
 }
 
-// Quantile estimates the q-quantile of the snapshot with the same
-// geometric within-bucket interpolation as Histogram.Quantile. When Max is
-// known (nonzero) it bounds the overflow bucket; otherwise the overflow
-// bucket is pinned to its lower bound. Returns 0 before any observation.
+// Quantile estimates the q-quantile (q in [0,1]) of the snapshot. Within a
+// bucket the value is interpolated geometrically (the buckets are
+// log-spaced), so the estimate is exact to within one bucket's width.
+// When Max is known (nonzero) it is the exact Quantile(1) and bounds the
+// overflow bucket; otherwise the overflow bucket is pinned to its lower
+// bound. Returns 0 before any observation.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -121,8 +122,8 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// bucketEdges mirrors Histogram.bucketEdges, with the overflow bucket
-// capped by the exact max when one is known.
+// bucketEdges returns the (lower, upper) value range of bucket i, with the
+// overflow bucket capped by the exact max when one is known.
 func (s HistogramSnapshot) bucketEdges(i int) (lo, hi float64) {
 	if i == 0 {
 		return 0, s.Bounds[0]

@@ -21,11 +21,6 @@ func TestHistogramSnapshotMatchesLive(t *testing.T) {
 	if s.Max != h.Max() {
 		t.Fatalf("snapshot max %v, live %v", s.Max, h.Max())
 	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := s.Quantile(q), h.Quantile(q); math.Abs(got-want) > 1e-12*math.Max(1, want) {
-			t.Fatalf("Quantile(%v): snapshot %v, live %v", q, got, want)
-		}
-	}
 }
 
 func TestHistogramSnapshotDelta(t *testing.T) {

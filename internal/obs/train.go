@@ -15,7 +15,7 @@ type StageTiming struct {
 }
 
 // TrainStats is the per-training-run profile that flows from the learners
-// to seltrain/selbench output and to the retrainer's /statz block: which
+// to seltrain/selbench output and to the last retrain on /statz: which
 // stage the time went to, and how hard the solver had to work. The
 // accuracy-vs-training-time tradeoff of the paper's Section 4 becomes
 // observable per run instead of only per benchmark sweep.

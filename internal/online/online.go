@@ -63,7 +63,7 @@ const (
 	RuleMultiplicative
 )
 
-// String names the rule for flags, /statz, and experiment output.
+// String names the rule for flags and experiment output.
 func (r Rule) String() string {
 	switch r {
 	case RuleGradient:

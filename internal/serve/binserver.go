@@ -229,21 +229,11 @@ func (s *Server) serveBinConn(conn net.Conn) {
 	}
 }
 
-// RunBin listens on addr and serves the binary protocol until ctx is
-// cancelled. It is the -listen-bin counterpart of Run and is typically
-// run concurrently with it; it does not start a second retrainer (model
-// lifecycle stays with the HTTP listener's Serve loop).
-func (s *Server) RunBin(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeBin(ctx, ln)
-}
-
-// ServeBin is RunBin on an existing listener. On cancellation it stops
-// accepting, then gives in-flight connections DrainTimeout to finish
-// their current frames before force-closing them.
+// ServeBin serves the binary protocol on ln until ctx is cancelled. It is
+// the binary counterpart of Serve and runs beside it; it does not start a
+// second retrainer (model lifecycle stays with the HTTP Serve loop). On
+// cancellation it stops accepting, then gives in-flight connections
+// DrainTimeout to finish their current frames before force-closing them.
 func (s *Server) ServeBin(ctx context.Context, ln net.Listener) error {
 	var mu sync.Mutex
 	conns := make(map[net.Conn]struct{})

@@ -344,7 +344,8 @@ func TestBinJSONEquivalence(t *testing.T) {
 	})
 }
 
-// metricValue reads one unlabeled series from the handler's /metrics page.
+// metricValue reads one series, its name with its rendered label block
+// (none for an unlabeled one), from the handler's /metrics page.
 func metricValue(t *testing.T, h http.Handler, name string) float64 {
 	t.Helper()
 	w := httptest.NewRecorder()

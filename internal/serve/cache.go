@@ -105,23 +105,6 @@ func (c *EstimateCache) Len() int {
 	return c.ll.Len()
 }
 
-// estimateCacheStatus is the /statz block for the estimate cache.
-type estimateCacheStatus struct {
-	Size     int   `json:"size"`
-	Capacity int   `json:"capacity"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-}
-
-func (c *EstimateCache) status() estimateCacheStatus {
-	return estimateCacheStatus{
-		Size:     c.Len(),
-		Capacity: c.cap,
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-	}
-}
-
 // QueryKey canonicalizes a query range into compact bytes for cache
 // keying: a one-byte class tag followed by the raw IEEE-754 bits of the
 // defining coordinates. Two wire queries that parse to the same geometry

@@ -180,12 +180,12 @@ func TestEstimateCacheInvalidationOnSwap(t *testing.T) {
 	if *resp.Estimate != m1.Estimate(q) {
 		t.Fatalf("cached estimate drifted: %v", *resp.Estimate)
 	}
-	var st statzResponse
-	if code := doJSON(t, h, "GET", "/statz", nil, &st); code != 200 {
-		t.Fatalf("statz: HTTP %d", code)
+	counters := func() (hits, misses float64) {
+		return metricValue(t, h, "selserve_estimate_cache_hits_total"),
+			metricValue(t, h, "selserve_estimate_cache_misses_total")
 	}
-	if st.EstimateCache == nil || st.EstimateCache.Hits != 1 || st.EstimateCache.Misses != 1 {
-		t.Fatalf("cache counters after repeat: %+v", st.EstimateCache)
+	if hits, misses := counters(); hits != 1 || misses != 1 {
+		t.Fatalf("cache counters after repeat: hits=%v misses=%v, want 1/1", hits, misses)
 	}
 
 	s.Registry().Set(DefaultModelName, "test", m2) // generation 2
@@ -197,11 +197,8 @@ func TestEstimateCacheInvalidationOnSwap(t *testing.T) {
 		t.Fatalf("post-swap estimate %v is stale (m1 would be %v, m2 is %v)",
 			*resp.Estimate, m1.Estimate(q), m2.Estimate(q))
 	}
-	if code := doJSON(t, h, "GET", "/statz", nil, &st); code != 200 {
-		t.Fatalf("statz: HTTP %d", code)
-	}
-	if st.EstimateCache.Misses != 2 || st.EstimateCache.Hits != 1 {
-		t.Fatalf("cache counters after swap: %+v (swap must force a miss)", st.EstimateCache)
+	if hits, misses := counters(); hits != 1 || misses != 2 {
+		t.Fatalf("cache counters after swap: hits=%v misses=%v, want 1/2 (swap must force a miss)", hits, misses)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -158,21 +160,30 @@ func TestEndToEndServingLoop(t *testing.T) {
 
 	// The feedback loop must have actually retrained and swapped at
 	// least once (plenty of fresh, clean feedback arrived).
+	_, out = post(t, client, "GET", base+"/metrics", nil)
+	scrape, err := obs.ParseScrape(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := scrape.SumCounter("selserve_retrain_runs_total"); runs == 0 {
+		t.Fatal("retrainer never ran")
+	}
+	swaps := scrape.SumCounter("selserve_retrain_swaps_total")
+	if swaps == 0 {
+		t.Fatal("retrainer never swapped")
+	}
+	for _, sm := range scrape.Family("selserve_http_errors_total").Samples {
+		if strings.Contains(sm.Labels, `class="5xx"`) && sm.Value != 0 {
+			t.Fatalf("%s%s = %v", sm.Name, sm.Labels, sm.Value)
+		}
+	}
 	var st statzResponse
 	_, out = post(t, client, "GET", base+"/statz", nil)
 	if err := json.Unmarshal(out, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Retrainer.Runs == 0 {
-		t.Fatal("retrainer never ran")
-	}
-	if st.Retrainer.Swaps == 0 {
-		t.Fatalf("retrainer never swapped: %+v", st.Retrainer)
-	}
-	for pattern, ep := range st.Endpoints {
-		if ep.Errors5xx != 0 {
-			t.Fatalf("%s returned %d 5xx responses", pattern, ep.Errors5xx)
-		}
+	if st.Retrainer.Last == nil || st.Retrainer.Last.Model != DefaultModelName {
+		t.Fatalf("statz retrainer.last = %+v, want the last pass over %q", st.Retrainer.Last, DefaultModelName)
 	}
 
 	// Post-retrain accuracy on held-out queries must not regress versus
@@ -183,8 +194,8 @@ func TestEndToEndServingLoop(t *testing.T) {
 	if postRMS > preRMS+1e-9 {
 		t.Fatalf("held-out RMS regressed after feedback: %.5f -> %.5f", preRMS, postRMS)
 	}
-	t.Logf("held-out RMS: pre-feedback %.5f, post-retrain %.5f (gen %d, %d swaps)",
-		preRMS, postRMS, st.Models[0].Generation, st.Retrainer.Swaps)
+	t.Logf("held-out RMS: pre-feedback %.5f, post-retrain %.5f (gen %d, %v swaps)",
+		preRMS, postRMS, st.Models[0].Generation, swaps)
 
 	// Graceful drain: cancelling the context must stop Serve cleanly.
 	// Release the client's keep-alive sockets first — Shutdown waits for

@@ -137,35 +137,8 @@ func (s *feedbackStore) Names() []string {
 	return names
 }
 
-// feedbackStatus is the /statz row for one ring.
-type feedbackStatus struct {
-	Buffered int   `json:"buffered"`
-	Capacity int   `json:"capacity"`
-	Total    int64 `json:"total"`
-	Dropped  int64 `json:"dropped"`
-	// Lost counts observations overwritten before any retrain snapshot
-	// read them — feedback that silently vanished, as opposed to Dropped,
-	// which also counts benign overwrites of already-consumed elements.
-	Lost int64 `json:"lost"`
-}
-
-func (s *feedbackStore) status() map[string]feedbackStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]feedbackStatus, len(s.rings))
-	for name, r := range s.rings {
-		out[name] = feedbackStatus{
-			Buffered: r.size,
-			Capacity: len(r.buf),
-			Total:    r.total,
-			Dropped:  r.drop,
-			Lost:     r.lost,
-		}
-	}
-	return out
-}
-
-// RetrainResult describes one retrain attempt, for /statz and tests.
+// RetrainResult describes one retrain attempt: POST /v1/retrain answers
+// with one per model, and /statz shows the last.
 type RetrainResult struct {
 	Model        string          `json:"model"`
 	Samples      int             `json:"samples"`
@@ -285,16 +258,16 @@ func (s *Server) retrainModel(name string) (RetrainResult, bool) {
 // finishRetrain records the result in the retrainer counters and logs the
 // outcome when a logger is attached.
 func (s *Server) finishRetrain(res RetrainResult) (RetrainResult, bool) {
-	s.retrainMu.Lock()
-	s.retrainRuns++
+	s.retrainRuns.Inc()
 	if res.Swapped {
-		s.retrainSwaps++
+		s.retrainSwaps.Inc()
 	}
+	s.retrainMu.Lock()
 	if res.Err != "" {
-		s.retrainErrs++
+		s.retrainErrs.Inc()
 		s.retrainErr = res.Err
 	}
-	s.lastRetrain = res
+	s.lastRetrain = &res
 	s.retrainMu.Unlock()
 	if s.logger != nil {
 		attrs := []slog.Attr{

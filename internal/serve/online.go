@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -34,14 +32,13 @@ type onlineManager struct {
 	mu     sync.Mutex
 	states map[string]*onlineState
 
-	applied   atomic.Int64
-	skipped   atomic.Int64
-	published atomic.Int64
-	conflicts atomic.Int64
-	fallbacks atomic.Int64
-	driftBits atomic.Uint64 // cumulative L1 weight drift, as float64 bits
-
-	latency *obs.Histogram // seconds per Apply+publish
+	applied   *obs.Counter
+	skipped   *obs.Counter
+	published *obs.Counter
+	conflicts *obs.Counter
+	fallbacks *obs.Counter
+	drift     *obs.Gauge     // cumulative L1 weight drift
+	latency   *obs.Histogram // seconds per Apply+publish
 }
 
 // onlineState is one model's updater plus its pending mini-batch.
@@ -59,50 +56,28 @@ type onlineState struct {
 var onlineUpdateBuckets = obs.ExpBuckets(1e-6, 1e-1, 4)
 
 func newOnlineManager(s *Server) *onlineManager {
-	m := &onlineManager{
+	reg := s.metrics
+	return &onlineManager{
 		srv:    s,
 		rule:   s.opts.OnlineRule,
 		rate:   s.opts.OnlineRate,
 		batch:  s.opts.OnlineBatchSize,
 		states: make(map[string]*onlineState),
-		latency: s.metrics.Histogram("selserve_online_update_seconds",
+		applied: reg.Counter("selserve_online_applied_total",
+			"Feedback observations folded into serving weights online."),
+		skipped: reg.Counter("selserve_online_skipped_total",
+			"Feedback observations the online updater could not use (no bucket coverage or invalid label)."),
+		published: reg.Counter("selserve_online_published_total",
+			"Online weight updates published to the registry."),
+		conflicts: reg.Counter("selserve_online_conflicts_total",
+			"Online publishes lost to a concurrent retrain or upload (updater rebuilt from the winner)."),
+		fallbacks: reg.Counter("selserve_online_fallbacks_total",
+			"Feedback observations routed to the retrain-only path (model family not reweightable)."),
+		drift: reg.Gauge("selserve_online_weight_drift",
+			"Cumulative L1 distance the serving weights have moved under online updates."),
+		latency: reg.Histogram("selserve_online_update_seconds",
 			"Latency of one online update batch (fold + publish), in seconds.",
 			onlineUpdateBuckets),
-	}
-	s.metrics.CounterFunc("selserve_online_applied_total",
-		"Feedback observations folded into serving weights online.",
-		m.applied.Load)
-	s.metrics.CounterFunc("selserve_online_skipped_total",
-		"Feedback observations the online updater could not use (no bucket coverage or invalid label).",
-		m.skipped.Load)
-	s.metrics.CounterFunc("selserve_online_published_total",
-		"Online weight updates published to the registry.",
-		m.published.Load)
-	s.metrics.CounterFunc("selserve_online_conflicts_total",
-		"Online publishes lost to a concurrent retrain or upload (updater rebuilt from the winner).",
-		m.conflicts.Load)
-	s.metrics.CounterFunc("selserve_online_fallbacks_total",
-		"Feedback observations routed to the retrain-only path (model family not reweightable).",
-		m.fallbacks.Load)
-	s.metrics.GaugeFunc("selserve_online_weight_drift",
-		"Cumulative L1 distance the serving weights have moved under online updates.",
-		m.drift)
-	return m
-}
-
-func (m *onlineManager) drift() float64 {
-	return math.Float64frombits(m.driftBits.Load())
-}
-
-// addDrift accumulates into the cumulative drift gauge (CAS loop — drift
-// is a float, so it cannot ride an integer counter).
-func (m *onlineManager) addDrift(d float64) {
-	for {
-		old := m.driftBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if m.driftBits.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 
@@ -165,65 +140,19 @@ func (m *onlineManager) ingest(name string, batch []core.LabeledQuery) {
 	m.applied.Add(int64(stats.Applied))
 	m.skipped.Add(int64(stats.Skipped))
 	if stats.Drift > 0 {
-		m.addDrift(stats.Drift)
+		m.drift.Add(stats.Drift)
 	}
 	if nm != nil {
 		if e := m.srv.registry.CompareAndSwap(name, "online", entry, nm); e != nil {
 			st.gen = e.Generation
-			m.published.Add(1)
+			m.published.Inc()
 		} else {
 			// A retrain or upload won the slot between our Get and the
 			// swap. Its model supersedes our fold; start over from it on
 			// the next feedback.
 			st.updater = nil
-			m.conflicts.Add(1)
+			m.conflicts.Inc()
 		}
 	}
 	m.latency.Observe(time.Since(start).Seconds())
-}
-
-// onlineStatus is the /statz block for the online-update subsystem.
-type onlineStatus struct {
-	Rule             string  `json:"rule"`
-	Rate             float64 `json:"rate"`
-	BatchSize        int     `json:"batch_size"`
-	Applied          int64   `json:"applied"`
-	Skipped          int64   `json:"skipped"`
-	Published        int64   `json:"published"`
-	Conflicts        int64   `json:"conflicts"`
-	Fallbacks        int64   `json:"fallbacks"`
-	Pending          int     `json:"pending"`
-	CumulativeDrift  float64 `json:"cumulative_drift"`
-	UpdateP99Micros  float64 `json:"update_p99_us,omitempty"`
-	UpdateP999Micros float64 `json:"update_p999_us,omitempty"`
-}
-
-func (m *onlineManager) status() onlineStatus {
-	st := onlineStatus{
-		Rule:            m.rule.String(),
-		Rate:            m.rate,
-		BatchSize:       m.batch,
-		Applied:         m.applied.Load(),
-		Skipped:         m.skipped.Load(),
-		Published:       m.published.Load(),
-		Conflicts:       m.conflicts.Load(),
-		Fallbacks:       m.fallbacks.Load(),
-		CumulativeDrift: m.drift(),
-	}
-	m.mu.Lock()
-	states := make([]*onlineState, 0, len(m.states))
-	for _, s := range m.states {
-		states = append(states, s)
-	}
-	m.mu.Unlock()
-	for _, s := range states {
-		s.mu.Lock()
-		st.Pending += len(s.pending)
-		s.mu.Unlock()
-	}
-	if m.latency.Count() > 0 {
-		st.UpdateP99Micros = m.latency.Quantile(0.99) * 1e6
-		st.UpdateP999Micros = m.latency.Quantile(0.999) * 1e6
-	}
-	return st
 }

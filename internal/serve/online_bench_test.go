@@ -91,8 +91,8 @@ func BenchmarkOnlineUpdate(b *testing.B) {
 			}
 			b.ReportMetric(quant(0.50), "p50-µs")
 			b.ReportMetric(quant(0.99), "p99-µs")
-			if st := s.online.status(); st.Published == 0 {
-				b.Fatalf("benchmark published nothing: %+v", st)
+			if s.online.published.Value() == 0 {
+				b.Fatal("benchmark published nothing")
 			}
 		})
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,12 +90,11 @@ func TestOnlineFeedbackPublishes(t *testing.T) {
 	if math.Abs(after-target) >= math.Abs(before-target) {
 		t.Fatalf("online update did not reduce error: before=%v after=%v target=%v", before, after, target)
 	}
-	st := s.online.status()
-	if st.Applied != 1 || st.Published != 1 {
-		t.Fatalf("online status %+v, want applied=1 published=1", st)
+	if applied, published := s.online.applied.Value(), s.online.published.Value(); applied != 1 || published != 1 {
+		t.Fatalf("applied=%d published=%d, want 1/1", applied, published)
 	}
-	if st.CumulativeDrift <= 0 {
-		t.Fatalf("cumulative drift not recorded: %+v", st)
+	if drift := s.online.drift.Value(); drift <= 0 {
+		t.Fatalf("cumulative drift not recorded: %v", drift)
 	}
 }
 
@@ -104,14 +105,15 @@ func TestOnlineBatchSize(t *testing.T) {
 	stream := feedbackStream(5, 4)
 	for i, z := range stream[:3] {
 		s.online.ingest(DefaultModelName, []core.LabeledQuery{z})
-		if got := s.online.published.Load(); got != 0 {
+		if got := s.online.published.Value(); got != 0 {
 			t.Fatalf("published %d after %d sub-batch observations", got, i+1)
 		}
 	}
 	s.online.ingest(DefaultModelName, []core.LabeledQuery{stream[3]})
-	st := s.online.status()
-	if st.Published != 1 || st.Applied+st.Skipped != 4 || st.Pending != 0 {
-		t.Fatalf("batch accounting wrong: %+v", st)
+	m := s.online
+	if m.published.Value() != 1 || m.applied.Value()+m.skipped.Value() != 4 || len(m.state(DefaultModelName).pending) != 0 {
+		t.Fatalf("batch accounting wrong: published=%d applied=%d skipped=%d pending=%d",
+			m.published.Value(), m.applied.Value(), m.skipped.Value(), len(m.state(DefaultModelName).pending))
 	}
 }
 
@@ -124,9 +126,8 @@ func TestOnlineFallbackUnsupported(t *testing.T) {
 	stream := feedbackStream(6, 5)
 	s.online.ingest(DefaultModelName, stream)
 	s.online.ingest(DefaultModelName, stream) // second probe must use the cached verdict
-	st := s.online.status()
-	if st.Fallbacks != 10 || st.Published != 0 {
-		t.Fatalf("fallback accounting wrong: %+v", st)
+	if fallbacks, published := s.online.fallbacks.Value(), s.online.published.Value(); fallbacks != 10 || published != 0 {
+		t.Fatalf("fallback accounting wrong: fallbacks=%d published=%d, want 10/0", fallbacks, published)
 	}
 	entry, _ := s.registry.Get(DefaultModelName)
 	if entry.Generation != 1 {
@@ -310,21 +311,42 @@ func TestOnlineCOWRace(t *testing.T) {
 	if math.Abs(sumW-1) > 0.05 {
 		t.Fatalf("final weights not near-simplex: sum %v", sumW)
 	}
-	if st := s.online.status(); st.Published == 0 {
-		t.Fatalf("race test published nothing: %+v", st)
+	if s.online.published.Value() == 0 {
+		t.Fatal("race test published nothing")
 	}
 }
 
-// TestOnlineRuleOption: the multiplicative rule must be honored end to
-// end (status reports it; zero-weight buckets stay zero).
+// TestOnlineRuleOption: Options.OnlineRule must reach the updater, checked
+// by the rules' effect. The multiplicative rule scales weights, so a
+// zero-weight bucket stays zero; the gradient rule re-grows some.
 func TestOnlineRuleOption(t *testing.T) {
-	s, _ := onlineServer(t, Options{OnlineRule: online.RuleMultiplicative, OnlineRate: 0.3})
-	if got := s.online.status().Rule; got != "multiplicative" {
-		t.Fatalf("status rule %q", got)
+	regrown := func(rule online.Rule) int {
+		s, m := onlineServer(t, Options{OnlineRule: rule, OnlineRate: 0.3})
+		s.online.ingest(DefaultModelName, feedbackStream(8, 10))
+		if s.online.published.Value() == 0 {
+			t.Fatalf("%v rule published nothing", rule)
+		}
+		entry, _ := s.registry.Get(DefaultModelName)
+		before, after := m.(*hist.Model).Weights, entry.Model.(*hist.Model).Weights
+		zeros, n := 0, 0
+		for j, w := range before {
+			if w == 0 {
+				zeros++
+				if after[j] != 0 {
+					n++
+				}
+			}
+		}
+		if zeros == 0 {
+			t.Fatal("fixture model has no zero weights")
+		}
+		return n
 	}
-	s.online.ingest(DefaultModelName, feedbackStream(8, 10))
-	if s.online.status().Published == 0 {
-		t.Fatal("multiplicative rule published nothing")
+	if n := regrown(online.RuleMultiplicative); n != 0 {
+		t.Fatalf("multiplicative rule re-grew %d zero-weight buckets, want 0", n)
+	}
+	if n := regrown(online.RuleGradient); n == 0 {
+		t.Fatal("gradient rule re-grew no zero-weight bucket")
 	}
 }
 
@@ -360,39 +382,28 @@ func TestRingLostAccounting(t *testing.T) {
 	if r.drop != 5 || r.lost != 2 {
 		t.Fatalf("second loss: drop=%d lost=%d, want 5/2", r.drop, r.lost)
 	}
-	// Store-level totals and /statz plumbing.
+	// Store-level totals.
 	fs := newFeedbackStore(2)
 	fs.Add("m", []core.LabeledQuery{q(0), q(1), q(2)})
 	total, dropped, lost := fs.Totals()
 	if total != 3 || dropped != 1 || lost != 1 {
 		t.Fatalf("Totals = %d/%d/%d, want 3/1/1", total, dropped, lost)
 	}
-	if st := fs.status()["m"]; st.Lost != 1 {
-		t.Fatalf("status lost = %d, want 1", st.Lost)
-	}
 }
 
-// TestStatzOnlineBlock: /statz must carry the online block when the
-// subsystem is enabled and omit it otherwise.
-func TestStatzOnlineBlock(t *testing.T) {
+// TestMetricsOnlineFamilies: /metrics carries the selserve_online_
+// families when the subsystem is enabled and none otherwise.
+func TestMetricsOnlineFamilies(t *testing.T) {
 	s, _ := onlineServer(t, Options{})
 	s.online.ingest(DefaultModelName, feedbackStream(9, 3))
-	var statz struct {
-		Online *onlineStatus `json:"online"`
-	}
-	if code := doJSON(t, s.Handler(), http.MethodGet, "/statz", nil, &statz); code != http.StatusOK {
-		t.Fatalf("statz status %d", code)
-	}
-	if statz.Online == nil || statz.Online.Applied+statz.Online.Skipped != 3 {
-		t.Fatalf("statz online block wrong: %+v", statz.Online)
+	h := s.Handler()
+	if n := metricValue(t, h, "selserve_online_applied_total") + metricValue(t, h, "selserve_online_skipped_total"); n != 3 {
+		t.Fatalf("online applied+skipped = %v, want 3", n)
 	}
 
-	off := NewServer(Options{})
-	var statzOff struct {
-		Online *onlineStatus `json:"online"`
-	}
-	doJSON(t, off.Handler(), http.MethodGet, "/statz", nil, &statzOff)
-	if statzOff.Online != nil {
-		t.Fatal("statz reports online block with the subsystem disabled")
+	w := httptest.NewRecorder()
+	NewServer(Options{}).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if strings.Contains(w.Body.String(), "selserve_online_") {
+		t.Fatal("/metrics has selserve_online_ series with the subsystem disabled")
 	}
 }

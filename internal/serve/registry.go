@@ -11,6 +11,7 @@ import (
 	"repro/internal/gmm"
 	"repro/internal/hist"
 	"repro/internal/isomer"
+	"repro/internal/modelio"
 	"repro/internal/obs"
 	"repro/internal/ptshist"
 	"repro/internal/quicksel"
@@ -154,19 +155,11 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// modelTypeName returns the envelope tag used for a model in /statz output.
+// modelTypeName returns a model's envelope tag, or its Go type for models
+// modelio cannot save.
 func modelTypeName(m core.Model) string {
-	switch m.(type) {
-	case *hist.Model:
-		return "quadhist"
-	case *ptshist.Model:
-		return "ptshist"
-	case *quicksel.Model:
-		return "quicksel"
-	case *isomer.Model:
-		return "isomer"
-	case *gmm.Model:
-		return "gaussmix"
+	if name, ok := modelio.TypeName(m); ok {
+		return name
 	}
 	return fmt.Sprintf("%T", m)
 }

@@ -446,17 +446,38 @@ func TestStatz(t *testing.T) {
 		t.Fatal("healthz not ok")
 	}
 
-	var st statzResponse
-	if code := doJSON(t, h, "GET", "/statz", nil, &st); code != 200 {
+	const route = `{route="POST /v1/estimate"}`
+	for _, c := range []struct {
+		series string
+		want   float64
+	}{
+		{"selserve_http_requests_total" + route, 6},
+		{`selserve_http_errors_total{class="4xx",route="POST /v1/estimate"}`, 1},
+		{`selserve_http_errors_total{class="5xx",route="POST /v1/estimate"}`, 0},
+		{"selserve_http_request_seconds_count" + route, 6},
+	} {
+		if got := metricValue(t, h, c.series); got != c.want {
+			t.Fatalf("%s = %v, want %v", c.series, got, c.want)
+		}
+	}
+
+	// /statz holds only what is not a number series: the model inventory
+	// and the retrainer's last outcome (none yet).
+	var raw map[string]any
+	if code := doJSON(t, h, "GET", "/statz", nil, &raw); code != 200 {
 		t.Fatalf("statz: HTTP %d", code)
 	}
-	est := st.Endpoints["POST /v1/estimate"]
-	if est.Requests != 6 || est.Errors4xx != 1 || est.Errors5xx != 0 {
-		t.Fatalf("estimate endpoint stats: %+v", est)
+	retrainer, ok := raw["retrainer"].(map[string]any)
+	if len(raw) != 2 || raw["models"] == nil || !ok {
+		t.Fatalf("statz body %v, want exactly models and retrainer", raw)
 	}
-	if est.Latency == nil || est.Latency.Max < est.Latency.P50 {
-		t.Fatalf("latency summary: %+v", est.Latency)
+	for k := range retrainer {
+		if k != "last_error" && k != "last" {
+			t.Fatalf("statz retrainer has %q, want only last_error and last", k)
+		}
 	}
+	var st statzResponse
+	doJSON(t, h, "GET", "/statz", nil, &st)
 	if len(st.Models) != 1 || st.Models[0].Name != "power" || st.Models[0].Type != "quadhist" {
 		t.Fatalf("model inventory: %+v", st.Models)
 	}

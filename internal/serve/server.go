@@ -17,7 +17,7 @@
 //	PUT  /v1/models/{name}   — upload/replace a modelio envelope
 //	GET  /v1/models/{name}   — download the serving model as an envelope
 //	GET  /healthz            — liveness
-//	GET  /statz              — counters, latency quantiles, model inventory
+//	GET  /statz              — model inventory and the last retrain
 //	GET  /metrics            — Prometheus text exposition
 //	GET  /debug/trace        — sampled request spans as Chrome trace JSON
 //
@@ -75,8 +75,8 @@ type Options struct {
 	// (default 0: the shared pool's default, i.e. GOMAXPROCS unless
 	// overridden via parallel.SetDefault).
 	EstimateWorkers int
-	// Metrics is the observability registry backing GET /metrics and the
-	// /statz counters (default: a fresh private registry).
+	// Metrics is the observability registry backing GET /metrics
+	// (default: a fresh private registry).
 	Metrics *obs.Registry
 	// Tracer records request/retrain spans for GET /debug/trace (default:
 	// a fresh tracer with obs.DefaultTraceCapacity spans).
@@ -155,13 +155,14 @@ type Server struct {
 	// binserver.go); registered unconditionally for stable scrape series.
 	bin binStats
 
-	retrainMu    sync.Mutex
-	retrainSeen  map[string]int64 // feedback total at last retrain, per model
-	retrainRuns  int64
-	retrainSwaps int64
-	retrainErrs  int64
-	retrainErr   string
-	lastRetrain  RetrainResult
+	retrainRuns  *obs.Counter
+	retrainSwaps *obs.Counter
+	retrainErrs  *obs.Counter
+
+	retrainMu   sync.Mutex
+	retrainSeen map[string]int64 // feedback total at last retrain, per model
+	retrainErr  string
+	lastRetrain *RetrainResult // nil until the first retrain attempt
 }
 
 // NewServer builds a server with an empty registry.
@@ -200,10 +201,9 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// registerMetrics bridges the server's pre-existing atomics (cache,
-// feedback, retrainer, worker pool) into the obs registry as func-backed
-// series, so exposition reads the same counters /statz reports rather
-// than maintaining a second accounting path.
+// registerMetrics registers the server-wide series: the retrainer's
+// counters as handles, and func-backed series that read state the cache,
+// feedback rings and worker pool already keep, so no count is kept twice.
 func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("selserve_uptime_seconds",
 		"Seconds since the server started.",
@@ -242,22 +242,12 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Feedback observations overwritten before any retrain snapshot read them.",
 		func() int64 { _, _, lost := s.feedback.Totals(); return lost })
 
-	retrainCount := func(read func() int64) func() int64 {
-		return func() int64 {
-			s.retrainMu.Lock()
-			defer s.retrainMu.Unlock()
-			return read()
-		}
-	}
-	reg.CounterFunc("selserve_retrain_runs_total",
-		"Retrain attempts (swapped or not).",
-		retrainCount(func() int64 { return s.retrainRuns }))
-	reg.CounterFunc("selserve_retrain_swaps_total",
-		"Retrains whose candidate was hot-swapped into serving.",
-		retrainCount(func() int64 { return s.retrainSwaps }))
-	reg.CounterFunc("selserve_retrain_errors_total",
-		"Retrain attempts that failed.",
-		retrainCount(func() int64 { return s.retrainErrs }))
+	s.retrainRuns = reg.Counter("selserve_retrain_runs_total",
+		"Retrain attempts (swapped or not).")
+	s.retrainSwaps = reg.Counter("selserve_retrain_swaps_total",
+		"Retrains whose candidate was hot-swapped into serving.")
+	s.retrainErrs = reg.Counter("selserve_retrain_errors_total",
+		"Retrain attempts that failed.")
 
 	reg.CounterFunc("selserve_pool_regions_total",
 		"Parallel regions entered by the shared worker pool.",
@@ -336,18 +326,9 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	_ = s.tracer.WriteChromeTrace(w)
 }
 
-// Run serves on addr until ctx is cancelled, then drains in-flight
+// Serve serves HTTP on ln until ctx is cancelled, then drains in-flight
 // requests for at most DrainTimeout. The retrainer runs for the same
-// lifetime. Run returns nil on a clean drain.
-func (s *Server) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve is Run on an existing listener (tests use an ephemeral port).
+// lifetime. Serve returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{Handler: s.Handler()}
 	retrainCtx, stopRetrain := context.WithCancel(ctx)
@@ -457,27 +438,14 @@ func (e *Entry) status() modelStatus {
 		Generation: e.Generation, Source: e.Source, LoadedAt: e.LoadedAt}
 }
 
+// statzResponse is the GET /statz body: only state that is not a number
+// series. Every count, latency and gauge is on GET /metrics.
 type statzResponse struct {
-	UptimeSeconds float64                   `json:"uptime_seconds"`
-	Build         buildStatus               `json:"build"`
-	Endpoints     map[string]endpointStatus `json:"endpoints"`
-	Models        []modelStatus             `json:"models"`
-	Feedback      map[string]feedbackStatus `json:"feedback"`
-	Retrainer     retrainerStatus           `json:"retrainer"`
-	Online        *onlineStatus             `json:"online,omitempty"`
-	EstimateCache *estimateCacheStatus      `json:"estimate_cache,omitempty"`
-}
-
-// buildStatus identifies the running binary in /statz.
-type buildStatus struct {
-	GoVersion string `json:"go_version"`
-	Revision  string `json:"revision"`
+	Models    []modelStatus   `json:"models"`
+	Retrainer retrainerStatus `json:"retrainer"`
 }
 
 type retrainerStatus struct {
-	Runs      int64          `json:"runs"`
-	Swaps     int64          `json:"swaps"`
-	Errors    int64          `json:"errors"`
 	LastError string         `json:"last_error,omitempty"`
 	Last      *RetrainResult `json:"last,omitempty"`
 }
@@ -576,15 +544,16 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // readBody slurps the request body into the pooled scratch buffer,
 // enforcing MaxBodyBytes by hand — http.MaxBytesReader allocates a
 // wrapper per request, which the zero-allocation estimate path cannot
-// afford. Returns false after writing the error response.
+// afford. The buffer grows with the bytes that arrive, not with the
+// declared Content-Length, which a client may set to MaxBodyBytes and
+// never send; the pool would keep a buffer of that size. Returns false
+// after writing the error response.
 //
 //selvet:zeroalloc
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *estimateScratch) bool {
-	if cl := r.ContentLength; cl > s.opts.MaxBodyBytes {
+	if r.ContentLength > s.opts.MaxBodyBytes {
 		s.writeError(w, http.StatusBadRequest, "invalid request body: http: request body too large")
 		return false
-	} else if cl > 0 && int64(cap(sc.body)) < cl {
-		sc.body = make([]byte, 0, cl)
 	}
 	sc.body = sc.body[:0]
 	for {
@@ -771,27 +740,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		models = append(models, entry.status())
 	}
 	s.retrainMu.Lock()
-	rt := retrainerStatus{Runs: s.retrainRuns, Swaps: s.retrainSwaps, Errors: s.retrainErrs, LastError: s.retrainErr}
-	if s.retrainRuns > 0 {
-		last := s.lastRetrain
-		rt.Last = &last
-	}
+	rt := retrainerStatus{LastError: s.retrainErr, Last: s.lastRetrain}
 	s.retrainMu.Unlock()
-	resp := statzResponse{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Build:         buildStatus{GoVersion: runtime.Version(), Revision: buildRevision()},
-		Endpoints:     s.stats.status(),
-		Models:        models,
-		Feedback:      s.feedback.status(),
-		Retrainer:     rt,
-	}
-	if s.online != nil {
-		ol := s.online.status()
-		resp.Online = &ol
-	}
-	if s.estCache != nil {
-		ec := s.estCache.status()
-		resp.EstimateCache = &ec
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, statzResponse{Models: models, Retrainer: rt})
 }

@@ -10,10 +10,8 @@ import (
 	"repro/internal/obs"
 )
 
-// endpointStats holds one route's metric handles. Counters and the latency
-// histogram live in the server's obs.Registry, so the same numbers back
-// both /statz (JSON summary) and /metrics (Prometheus exposition) — one
-// source of truth instead of two accounting paths.
+// endpointStats holds one route's metric handles in the server's
+// obs.Registry.
 type endpointStats struct {
 	requests  *obs.Counter
 	errors4xx *obs.Counter
@@ -32,46 +30,6 @@ func (e *endpointStats) record(d time.Duration, status int) {
 		e.errors4xx.Inc()
 	}
 	e.latency.Observe(d.Seconds())
-}
-
-// latencySummary is the quantile block of one /statz endpoint row. Field
-// names predate the obs registry and are kept stable for dashboards;
-// values now come from the log-bucketed histogram (quantiles exact to
-// within one bucket, max exact) instead of a 1024-entry sliding window —
-// so they summarize the full uptime, not just recent traffic.
-type latencySummary struct {
-	P50  float64 `json:"p50_ms"`
-	P95  float64 `json:"p95_ms"`
-	P99  float64 `json:"p99_ms"`
-	P999 float64 `json:"p999_ms"`
-	Max  float64 `json:"max_ms"`
-}
-
-// endpointStatus is one /statz endpoint row.
-type endpointStatus struct {
-	Requests  int64           `json:"requests"`
-	Errors4xx int64           `json:"errors_4xx"`
-	Errors5xx int64           `json:"errors_5xx"`
-	Latency   *latencySummary `json:"latency,omitempty"`
-}
-
-func (e *endpointStats) status() endpointStatus {
-	st := endpointStatus{
-		Requests:  e.requests.Value(),
-		Errors4xx: e.errors4xx.Value(),
-		Errors5xx: e.errors5xx.Value(),
-	}
-	if e.latency.Count() > 0 {
-		const toMS = 1e3 // histogram records seconds; /statz reports ms
-		st.Latency = &latencySummary{
-			P50:  e.latency.Quantile(0.50) * toMS,
-			P95:  e.latency.Quantile(0.95) * toMS,
-			P99:  e.latency.Quantile(0.99) * toMS,
-			P999: e.latency.Quantile(0.999) * toMS,
-			Max:  e.latency.Max() * toMS,
-		}
-	}
-	return st
 }
 
 // statsSet lazily registers the per-route metric handles, keyed by the
@@ -113,20 +71,6 @@ func (s *statsSet) route(pattern string) *endpointStats {
 		s.routes[pattern] = e
 	}
 	return e
-}
-
-func (s *statsSet) status() map[string]endpointStatus {
-	s.mu.Lock()
-	routes := make(map[string]*endpointStats, len(s.routes))
-	for k, v := range s.routes {
-		routes[k] = v
-	}
-	s.mu.Unlock()
-	out := make(map[string]endpointStatus, len(routes))
-	for k, v := range routes {
-		out[k] = v.status()
-	}
-	return out
 }
 
 // statusRecorder captures the response code for the stats middleware.

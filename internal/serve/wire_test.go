@@ -454,3 +454,23 @@ func TestReadBodyTruncation(t *testing.T) {
 		t.Fatalf("at-limit body: HTTP %d %q, want 404 model-not-found", w.Code, w.Body.String())
 	}
 }
+
+// TestReadBodySizedByBytesRead: a client that declares a large
+// Content-Length but sends a small body must not leave a buffer of the
+// declared size behind in the pooled scratch.
+func TestReadBodySizedByBytesRead(t *testing.T) {
+	s := NewServer(Options{})
+	body := []byte(`{"query":{"lo":[0,0],"hi":[1,1]}}`)
+	req := httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(body))
+	req.ContentLength = 60 << 20
+	sc := new(estimateScratch)
+	if !s.readBody(httptest.NewRecorder(), req, sc) {
+		t.Fatal("readBody rejected a body under MaxBodyBytes")
+	}
+	if !bytes.Equal(sc.body, body) {
+		t.Fatalf("readBody read %q, want %q", sc.body, body)
+	}
+	if c := cap(sc.body); c >= 1<<10 {
+		t.Fatalf("cap(sc.body) = %d after a %d-byte body, want under 1 KiB", c, len(body))
+	}
+}

@@ -50,6 +50,11 @@ for a in zeroalloc poolpair atomicmix cowshare obslabel; do
 done
 
 go test ./...
+# ./... skips the benchmark module (its directory name starts with _ and
+# it is a module of its own), yet it imports the serve, obs, load, wirebin
+# and modelio APIs: vet and test it here so a change to any of them breaks
+# this script, not the next benchmark run.
+(cd _e2ebench && go vet ./... && go test ./...)
 go test -race ./internal/...
 # The metrics registry and span tracer are read by exposition handlers
 # while every request and trainer writes to them; their race test is the
