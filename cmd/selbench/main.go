@@ -24,52 +24,19 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (see -list)")
-		preset    = flag.String("preset", "default", "preset: quick, default, full")
-		all       = flag.Bool("all", false, "run every registered experiment")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		seed      = flag.Uint64("seed", 0, "override the preset's base seed")
-		out       = flag.String("o", "", "write output to this file instead of stdout")
-		workers   = flag.Int("workers", 0, "concurrent sweep points and kernel workers (0 = all CPUs); results are identical for any value")
-		estpath   = flag.Bool("estpath", false, "benchmark the estimate hot path (flat vs BVH vs BVH+cache) and exit")
-		estIters  = flag.Int("estpath-iters", 20000, "query evaluations per estimate-path cell")
-		trainprof = flag.Bool("trainprof", false, "print per-family training stage timings on a synthetic workload and exit")
-		trainN    = flag.Int("trainprof-queries", 200, "training queries for -trainprof")
-		stream    = flag.Bool("stream", false, "benchmark the NDJSON stream endpoint vs the batch endpoint over a real listener and exit")
-		streamN   = flag.Int("stream-queries", 50000, "queries per request for -stream")
-		bin       = flag.Bool("bin", false, "benchmark the binary wire protocol over a real listener and exit")
-		binN      = flag.Int("bin-queries", 50000, "total queries for -bin")
-		conns     = flag.Int("conns", 1, "parallel persistent connections for -stream and -bin")
+		exp     = flag.String("exp", "", "experiment id (see -list)")
+		preset  = flag.String("preset", "default", "preset: quick, default, full")
+		all     = flag.Bool("all", false, "run every registered experiment")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		seed    = flag.Uint64("seed", 0, "override the preset's base seed")
+		out     = flag.String("o", "", "write output to this file instead of stdout")
+		workers = flag.Int("workers", 0, "concurrent sweep points and kernel workers (0 = all CPUs); results are identical for any value")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
-		}
-		return
-	}
-	if *estpath {
-		if err := runEstPath(os.Stdout, *estIters); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *trainprof {
-		if err := runTrainProf(os.Stdout, *trainN); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *stream {
-		if err := runStream(os.Stdout, *streamN, *conns); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *bin {
-		if err := runBin(os.Stdout, *binN, *conns); err != nil {
-			fatal(err)
 		}
 		return
 	}

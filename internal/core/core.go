@@ -74,13 +74,13 @@ func Accelerate(m Model) bool {
 // Reweightable is the capability interface of bucket-weight models whose
 // structure (bucket geometry, acceleration index) is fixed after training
 // while the weight vector alone carries the learned distribution — the
-// QUADHIST and QUICKSEL families. It is the contract the online-learning
-// subsystem (internal/online) builds on: a feedback item becomes a new
-// weight vector published as a structurally-shared copy of the model, with
-// no retraining and no index rebuild. As with Accelerable, consumers
-// discover the capability through this interface, never via model type
-// switches, so a new model family opts into online updates just by
-// implementing it.
+// box-histogram families QUADHIST, QUICKSEL and ISOMER. It is the contract
+// the online-learning subsystem (internal/online) builds on: a feedback
+// item becomes a new weight vector published as a structurally-shared copy
+// of the model, with no retraining and no index rebuild. As with
+// Accelerable, consumers discover the capability through this interface,
+// never via model type switches, so a new model family opts into online
+// updates just by implementing it.
 type Reweightable interface {
 	Model
 	// WeightView exposes the model's bucket geometry and current weight

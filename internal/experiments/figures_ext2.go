@@ -80,8 +80,11 @@ func extPredTime(cfg Config) []*Result {
 		if err != nil {
 			continue
 		}
+		// m.Estimate walks the model's own BVH at bvh.IndexThreshold
+		// buckets and above, so the flat arm calls the flat kernel, and the
+		// bvh arm builds its own tree to index the smaller models too.
 		idx := bvh.Build(m.Buckets, m.Weights)
-		flat := timePerQuery(func(r int) { m.Estimate(test[r].R) }, len(test))
+		flat := timePerQuery(func(r int) { bvh.EstimateFlat(m.Buckets, m.Weights, test[r].R) }, len(test))
 		fast := timePerQuery(func(r int) { idx.Estimate(test[r].R) }, len(test))
 		res.Rows = append(res.Rows, []string{
 			strconv.Itoa(m.NumBuckets()),

@@ -7,6 +7,10 @@
 // Regardless of the query class — orthogonal range, halfspace, or ball —
 // the buckets are axis-aligned boxes, so prediction only needs
 // range-vs-box intersection volumes (exact in the geometry substrate).
+//
+// Model, the weighted-box histogram of Equation 6, is also the model the
+// QUICKSEL and ISOMER learners return: the three differ in how they pick
+// buckets and fit weights, never in how they predict.
 package hist
 
 import (
@@ -67,8 +71,25 @@ func New(dim, maxBuckets int) *Trainer {
 // Name implements core.Trainer.
 func (t *Trainer) Name() string { return "QuadHist" }
 
-// Model is a trained QUADHIST histogram: disjoint box buckets partitioning
-// [0,1]^d with simplex weights.
+// Family names the learner that produced a Model. It picks the model's
+// name in saved files and the trainer that refits it; it never changes an
+// estimate.
+type Family uint8
+
+const (
+	// QuadHist: disjoint quadtree leaves partitioning [0,1]^d (the zero
+	// value, so a Model literal without a Family is a QUADHIST).
+	QuadHist Family = iota
+	// QuickSel: a mixture of uniforms over overlapping boxes.
+	QuickSel
+	// Isomer: a disjoint box partition with maximum-entropy weights.
+	Isomer
+)
+
+// Model is a trained box histogram: weighted box buckets, predicting with
+// Equation 6. QUADHIST and ISOMER buckets are disjoint; QUICKSEL's
+// overlap, which the estimate sum (over buckets, not space) does not care
+// about.
 //
 // Estimate is BVH-accelerated: at bvh.IndexThreshold buckets and above, a
 // lazily-built, immutably-shared tree prunes disjoint subtrees and adds
@@ -78,6 +99,7 @@ func (t *Trainer) Name() string { return "QuadHist" }
 type Model struct {
 	Buckets []geom.Box
 	Weights []float64
+	Family  Family `json:"-"`
 
 	accel bvh.Lazy
 }
@@ -204,15 +226,15 @@ func (m *Model) SeedIndex(t *bvh.Tree) { m.accel.Seed(t) }
 func (m *Model) WeightView() ([]geom.Box, []float64) { return m.Buckets, m.Weights }
 
 // WithWeights implements core.Reweightable: the returned model shares the
-// receiver's buckets, and when the receiver's BVH is built the new model
-// is seeded with a reweighted tree (shared node structure, fresh subtree
-// sums) — so publishing an online weight update costs one O(m) pass, not
-// an index rebuild.
+// receiver's buckets and family, and when the receiver's BVH is built the
+// new model is seeded with a reweighted tree (shared node structure, fresh
+// subtree sums) — so publishing an online weight update costs one O(m)
+// pass, not an index rebuild.
 func (m *Model) WithWeights(w []float64) core.Model {
 	if len(w) != len(m.Buckets) {
 		panic("hist: WithWeights weight count mismatch")
 	}
-	nm := &Model{Buckets: m.Buckets, Weights: w}
+	nm := &Model{Buckets: m.Buckets, Weights: w, Family: m.Family}
 	if t := m.accel.Built(); t != nil {
 		nm.accel.Seed(t.Reweight(w))
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/hist"
 	"repro/internal/workload"
 )
 
@@ -22,7 +23,7 @@ func TestTrainedModelAcceleratedMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mm.(*Model)
+	m := mm.(*hist.Model)
 	if m.NumBuckets() < bvh.IndexThreshold {
 		t.Fatalf("fixture too small to exercise the BVH path: %d buckets", m.NumBuckets())
 	}

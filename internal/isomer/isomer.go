@@ -21,9 +21,9 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/bvh"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/hist"
 	"repro/internal/obs"
 )
 
@@ -99,19 +99,10 @@ func New(dim int) *Trainer { return &Trainer{Dim: dim} }
 // Name implements core.Trainer.
 func (t *Trainer) Name() string { return "Isomer" }
 
-// Model is a trained ISOMER histogram: a disjoint box partition with
-// maximum-entropy weights. Estimate is BVH-accelerated above
-// bvh.IndexThreshold buckets (ISOMER's partitions run to 48–160× the
-// query count, so nearly every trained model is indexed); Buckets and
-// Weights must not be mutated after the first Estimate/Accelerate call.
-type Model struct {
-	Buckets []geom.Box
-	Weights []float64
-
-	accel bvh.Lazy
-}
-
-// Train implements core.Trainer. Queries must be boxes (ISOMER is an
+// Train implements core.Trainer. The model is a hist.Model of family
+// hist.Isomer: a disjoint box partition with maximum-entropy weights
+// (ISOMER's partitions run to 48–160× the query count, so nearly every
+// trained model is BVH-indexed). Queries must be boxes (ISOMER is an
 // orthogonal-range method; the paper compares it only there).
 func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 	maxBuckets := t.Opts.MaxBuckets
@@ -174,7 +165,7 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 		return nil, err
 	}
 	t.Log.SetSolver("iterative_scaling", sweeps)
-	return &Model{Buckets: buckets, Weights: w}, nil
+	return &hist.Model{Buckets: buckets, Weights: w, Family: hist.Isomer}, nil
 }
 
 // splitAround partitions bucket b into b∩q plus the complement slabs — the
@@ -319,31 +310,4 @@ func normalizeTo1(w []float64) {
 	}
 }
 
-// NumBuckets implements core.Model.
-func (m *Model) NumBuckets() int { return len(m.Buckets) }
-
-// Estimate implements core.Model, via the shared BVH for large models and
-// the flat kernel below the indexing threshold.
-func (m *Model) Estimate(r geom.Range) float64 {
-	if t := m.accel.Ensure(m.Buckets, m.Weights); t != nil {
-		return t.Estimate(r)
-	}
-	return bvh.EstimateFlat(m.Buckets, m.Weights, r)
-}
-
-// Accelerate implements core.Accelerable (force the one-time BVH build).
-func (m *Model) Accelerate() { m.accel.Ensure(m.Buckets, m.Weights) }
-
-// IndexTree returns the built BVH index, or nil if none has been built
-// yet. It never triggers a build; the binary snapshot writer uses it to
-// decide whether a tree section can be persisted.
-func (m *Model) IndexTree() *bvh.Tree { return m.accel.Built() }
-
-// SeedIndex installs a prebuilt BVH as this model's index (winning only if
-// none exists yet), so a model loaded from a binary snapshot skips the
-// build entirely — the subsequent Accelerate is a no-op.
-func (m *Model) SeedIndex(t *bvh.Tree) { m.accel.Seed(t) }
-
 var _ core.Trainer = (*Trainer)(nil)
-var _ core.Model = (*Model)(nil)
-var _ core.Accelerable = (*Model)(nil)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/hist"
 	"repro/internal/workload"
 )
 
@@ -88,7 +89,7 @@ func TestBucketCountGrowsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := m.(*Model)
+	model := m.(*hist.Model)
 	if model.NumBuckets() < 10*len(train) {
 		t.Fatalf("bucket count %d < 10× training size", model.NumBuckets())
 	}
@@ -101,7 +102,7 @@ func TestWeightsOnSimplex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := m.(*Model)
+	model := m.(*hist.Model)
 	sum := 0.0
 	for _, w := range model.Weights {
 		if w < -1e-12 {

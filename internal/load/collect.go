@@ -111,8 +111,7 @@ func Summarize(s obs.HistogramSnapshot) LatencySummary {
 
 // ---- shared text reporter -------------------------------------------------
 
-// Reporter renders latency and throughput tables in one fixed format,
-// shared by cmd/selbench's -estpath/-stream/-bin modes and cmd/selload.
+// Reporter renders cmd/selload's latency tables in one fixed format.
 // Given the same histogram contents it always produces the same bytes
 // (histograms are order-independent, so concurrent fills at any worker
 // count render identically — test-gated), which is what makes two runs'
@@ -140,36 +139,6 @@ func (r *Reporter) Titlef(format string, args ...any) {
 	r.printf(format+"\n", args...)
 }
 
-// ThroughputHeader starts a name / ns-per-op / ops-per-sec table (the
-// format selbench's wire benchmarks have always printed), e.g.
-// ThroughputHeader("ns/query", "queries/sec").
-func (r *Reporter) ThroughputHeader(perOp, perSec string) {
-	r.printf("%10s %12s %14s\n", "path", perOp, perSec)
-}
-
-// ThroughputRow prints one throughput row from a mean ns/op.
-func (r *Reporter) ThroughputRow(name string, nsPerOp float64) {
-	r.printf("%10s %12.0f %14.0f\n", name, nsPerOp, 1e9/nsPerOp)
-}
-
-// Rowf prints one arbitrary formatted row (comparison tables with
-// bespoke columns, like the estimate-path kernel table).
-func (r *Reporter) Rowf(format string, args ...any) {
-	r.printf(format+"\n", args...)
-}
-
-// LatencyHeader starts a per-arm latency table (microsecond quantiles).
-func (r *Reporter) LatencyHeader() {
-	r.printf("%10s %10s %8s %10s %10s %10s %10s %12s\n",
-		"arm", "ops", "errors", "mean_us", "p50_us", "p99_us", "p999_us", "max_us")
-}
-
-// LatencyRow prints one arm's digest.
-func (r *Reporter) LatencyRow(name string, errors int64, s LatencySummary) {
-	r.printf("%10s %10d %8d %10.1f %10.1f %10.1f %10.1f %12.1f\n",
-		name, s.Count, errors, s.MeanUs, s.P50Us, s.P99Us, s.P999Us, s.MaxUs)
-}
-
 // ClassTable prints the collector's per-class intended/actual digests:
 // one row per populated (class, view) pair, classes in enum order.
 func (r *Reporter) ClassTable(c *Collector) {
@@ -190,54 +159,4 @@ func (r *Reporter) ClassTable(c *Collector) {
 				s.MeanUs, s.P50Us, s.P99Us, s.P999Us, s.MaxUs)
 		}
 	}
-}
-
-// ---- per-arm bench accumulator --------------------------------------------
-
-// Bench accumulates per-operation latencies for one benchmark arm.
-// selbench's three wire modes each used to hand-roll elapsed/N
-// accounting; they now share this: every arm is an obs.Histogram, so the
-// printed mean is exact (integer-tick sum) and percentiles come for free.
-type Bench struct {
-	Name string
-	Hist *obs.Histogram
-	errs int64
-}
-
-// NewBench returns an arm accumulator.
-func NewBench(name string) *Bench {
-	return &Bench{Name: name, Hist: obs.NewHistogram(LoadLatencyBuckets)}
-}
-
-// ObserveSeconds records one operation's latency.
-func (b *Bench) ObserveSeconds(sec float64) { b.Hist.Observe(sec) }
-
-// ObserveBatch spreads a batch's wall time evenly over its n operations —
-// the honest way to fold a one-round-trip batch into a per-op histogram
-// (individual op latencies inside the batch are unobservable).
-func (b *Bench) ObserveBatch(sec float64, n int) {
-	if n <= 0 {
-		return
-	}
-	per := sec / float64(n)
-	for i := 0; i < n; i++ {
-		b.Hist.Observe(per)
-	}
-}
-
-// Error counts one failed operation.
-func (b *Bench) Error() { b.errs++ }
-
-// Row prints the arm into a latency table.
-func (b *Bench) Row(r *Reporter) {
-	r.LatencyRow(b.Name, b.errs, Summarize(b.Hist.Snapshot()))
-}
-
-// MeanNs returns the arm's mean ns/op (0 before any observation).
-func (b *Bench) MeanNs() float64 {
-	s := b.Hist.Snapshot()
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Mean() * 1e9
 }

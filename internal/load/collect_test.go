@@ -79,30 +79,3 @@ func TestCollectorTotals(t *testing.T) {
 		t.Fatalf("TotalErrors = %d, want 2", got)
 	}
 }
-
-func TestBenchAccumulator(t *testing.T) {
-	b := NewBench("arm")
-	if b.MeanNs() != 0 {
-		t.Fatal("empty bench has a nonzero mean")
-	}
-	b.ObserveSeconds(1e-3)
-	b.ObserveBatch(16e-3, 16) // 16 ops at 1ms each
-	s := b.Hist.Snapshot()
-	if s.Count != 17 {
-		t.Fatalf("count = %d, want 17", s.Count)
-	}
-	mean := b.MeanNs()
-	if mean < 0.8e6 || mean > 1.3e6 {
-		t.Fatalf("mean = %v ns, want ~1e6", mean)
-	}
-	var buf bytes.Buffer
-	r := NewReporter(&buf)
-	r.LatencyHeader()
-	b.Row(r)
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("no table output")
-	}
-}

@@ -1,5 +1,5 @@
 // Package load is the open-loop load-generation harness behind
-// cmd/selload and the latency-reporting layer shared with cmd/selbench.
+// cmd/selload, with its latency-reporting layer.
 //
 // The central design decision is the OPEN loop: request start times come
 // from a precomputed arrival schedule (exponential or uniform

@@ -34,9 +34,9 @@ const (
 
 // GridModel builds a k×k grid histogram (m = k² buckets, m a perfect
 // square) over the unit box with deterministic simplex weights. Seed 0
-// reproduces the exact weight pattern cmd/selbench's -estpath mode has
-// always used; a nonzero seed perturbs the weights multiplicatively, so
-// hot-swapped models are genuinely different without changing shape.
+// reproduces the exact weight pattern of BenchmarkEstimatePath's grid; a
+// nonzero seed perturbs the weights multiplicatively, so hot-swapped
+// models are genuinely different without changing shape.
 func GridModel(m int, seed uint64) *hist.Model {
 	k := int(math.Round(math.Sqrt(float64(m))))
 	if k*k != m {
@@ -79,12 +79,6 @@ func boxQueries(r *rng.RNG, n int) []geom.Range {
 		qs[i] = geom.BoxFromCenter(c, []float64{0.02 + 0.3*r.Float64(), 0.02 + 0.3*r.Float64()})
 	}
 	return qs
-}
-
-// GridQueries returns n seeded box queries (the selbench benchmark
-// workload: GridQueries(7, n) reproduces its historical query stream).
-func GridQueries(seed uint64, n int) []geom.Range {
-	return boxQueries(rng.New(seed), n)
 }
 
 // eventQueryCount is the number of queries one event of the class sends.

@@ -45,9 +45,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gmm"
 	"repro/internal/hist"
-	"repro/internal/isomer"
 	"repro/internal/ptshist"
-	"repro/internal/quicksel"
 )
 
 // BinaryMagic is the 8-byte snapshot signature; LoadAny sniffs it to
@@ -74,13 +72,6 @@ const (
 	secGmm   = 4 // component means + sigmas (gaussmix)
 	secBVH   = 5 // prebuilt BVH structure arrays
 )
-
-// indexedModel is the box-bucketed model surface the snapshot writer and
-// loader use to persist and seed a prebuilt BVH.
-type indexedModel interface {
-	IndexTree() *bvh.Tree
-	SeedIndex(*bvh.Tree)
-}
 
 // nativeLE reports whether this machine stores floats little-endian, the
 // precondition for aliasing f64 sections instead of copying them.
@@ -158,39 +149,35 @@ func flatCorners(buckets []geom.Box) (lo, hi []float64, dim int) {
 // the indexing threshold persist their BVH and replicas skip the build on
 // load.
 func SaveBinary(w io.Writer, m core.Model) error {
-	tag := 0
-	switch m.(type) {
-	case *hist.Model:
-		tag = tagQuadhist
-	case *ptshist.Model:
-		tag = tagPtshist
-	case *quicksel.Model:
-		tag = tagQuicksel
-	case *isomer.Model:
-		tag = tagIsomer
-	case *gmm.Model:
-		tag = tagGaussmix
-	default:
+	_, tag, ok := kindOf(m)
+	if !ok {
 		return fmt.Errorf("modelio: unsupported model type %T", m)
 	}
 	core.Accelerate(m)
 
+	// Reserve the fixed header; section offsets are absolute, so the
+	// header size must be known up front. Section count is patched below.
+	const maxSecs = 3
+	headerLen := 16 + maxSecs*32 + 8
 	var bw binWriter
-	writeBoxes := func(buckets []geom.Box, weights []float64, im indexedModel) {
-		lo, hi, dim := flatCorners(buckets)
+	bw.buf = make([]byte, headerLen)
+
+	switch t := m.(type) {
+	case *hist.Model:
+		lo, hi, dim := flatCorners(t.Buckets)
 		bw.section(secBoxes, func() {
 			bw.u32(uint32(dim))
 			bw.u32(0)
-			bw.u64(uint64(len(buckets)))
+			bw.u64(uint64(len(t.Buckets)))
 			bw.f64s(lo)
 			bw.f64s(hi)
 		})
 		bw.section(secWgts, func() {
-			bw.u64(uint64(len(weights)))
-			bw.f64s(weights)
+			bw.u64(uint64(len(t.Weights)))
+			bw.f64s(t.Weights)
 		})
-		if t := im.IndexTree(); t != nil {
-			raw := t.Raw()
+		if tree := t.IndexTree(); tree != nil {
+			raw := tree.Raw()
 			bw.section(secBVH, func() {
 				bw.u32(uint32(raw.Dim))
 				bw.u32(0)
@@ -208,21 +195,6 @@ func SaveBinary(w io.Writer, m core.Model) error {
 				bw.f64s(raw.WSums)
 			})
 		}
-	}
-
-	// Reserve the fixed header; section offsets are absolute, so the
-	// header size must be known up front. Section count is patched below.
-	const maxSecs = 3
-	headerLen := 16 + maxSecs*32 + 8
-	bw.buf = make([]byte, headerLen)
-
-	switch t := m.(type) {
-	case *hist.Model:
-		writeBoxes(t.Buckets, t.Weights, t)
-	case *quicksel.Model:
-		writeBoxes(t.Buckets, t.Weights, t)
-	case *isomer.Model:
-		writeBoxes(t.Buckets, t.Weights, t)
 	case *ptshist.Model:
 		dim := 0
 		if len(t.Points) > 0 {
@@ -479,7 +451,7 @@ func LoadBinary(data []byte) (core.Model, error) {
 	}
 
 	// readTree seeds a persisted BVH, validated by bvh.FromRaw.
-	readTree := func(im indexedModel, buckets []geom.Box, weights, lo, hi []float64) error {
+	readTree := func(hm *hist.Model, lo, hi []float64) error {
 		r := secs[secBVH]
 		if r == nil {
 			return nil // snapshot of a below-threshold model: no index
@@ -534,23 +506,24 @@ func LoadBinary(data []byte) (core.Model, error) {
 			return err
 		}
 		r.pad8()
-		if raw.InvVols, err = r.f64s(len(buckets)); err != nil {
+		if raw.InvVols, err = r.f64s(len(hm.Buckets)); err != nil {
 			return err
 		}
 		if raw.WSums, err = r.f64s(nodes); err != nil {
 			return err
 		}
-		t, err := bvh.FromRaw(raw, buckets, weights, lo, hi)
+		t, err := bvh.FromRaw(raw, hm.Buckets, hm.Weights, lo, hi)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidModel, err)
 		}
-		im.SeedIndex(t)
+		hm.SeedIndex(t)
 		return nil
 	}
 
+	family, isBox := boxFamily(func(_ string, t int) bool { return t == tag })
 	var m core.Model
-	switch tag {
-	case tagQuadhist, tagQuicksel, tagIsomer:
+	switch {
+	case isBox:
 		buckets, lo, hi, _, err := readBoxes()
 		if err != nil {
 			return nil, err
@@ -559,25 +532,15 @@ func LoadBinary(data []byte) (core.Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		var im indexedModel
-		switch tag {
-		case tagQuadhist:
-			hm := &hist.Model{Buckets: buckets, Weights: weights}
-			m, im = hm, hm
-		case tagQuicksel:
-			qm := &quicksel.Model{Buckets: buckets, Weights: weights}
-			m, im = qm, qm
-		default:
-			om := &isomer.Model{Buckets: buckets, Weights: weights}
-			m, im = om, om
-		}
-		if err := validate(m); err != nil {
+		hm := &hist.Model{Buckets: buckets, Weights: weights, Family: family}
+		if err := validate(hm); err != nil {
 			return nil, err
 		}
-		if err := readTree(im, buckets, weights, lo, hi); err != nil {
+		if err := readTree(hm, lo, hi); err != nil {
 			return nil, err
 		}
-	case tagPtshist:
+		m = hm
+	case tag == tagPtshist:
 		r := secs[secPts]
 		if r == nil {
 			return nil, fmt.Errorf("%w: missing points section", ErrMalformed)
@@ -617,7 +580,7 @@ func LoadBinary(data []byte) (core.Model, error) {
 		if err := validate(m); err != nil {
 			return nil, err
 		}
-	case tagGaussmix:
+	case tag == tagGaussmix:
 		r := secs[secGmm]
 		if r == nil {
 			return nil, fmt.Errorf("%w: missing components section", ErrMalformed)

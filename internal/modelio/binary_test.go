@@ -13,9 +13,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gmm"
 	"repro/internal/hist"
-	"repro/internal/isomer"
 	"repro/internal/ptshist"
-	"repro/internal/quicksel"
 )
 
 // gridModel builds a k×k quadhist-shaped model with deterministic
@@ -70,6 +68,10 @@ func TestBinaryRoundTripEstimates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LoadBinary: %v", err)
 		}
+		want, _ := TypeName(orig)
+		if name, _ := TypeName(got); name != want {
+			t.Fatalf("saved a %s model, loaded a %s", want, name)
+		}
 		for qi, q := range queries {
 			a, b := orig.Estimate(q), got.Estimate(q)
 			if math.Float64bits(a) != math.Float64bits(b) {
@@ -82,11 +84,11 @@ func TestBinaryRoundTripEstimates(t *testing.T) {
 	t.Run("quadhist indexed", func(t *testing.T) { check(t, gridModel(32)) })
 	t.Run("quicksel", func(t *testing.T) {
 		g := gridModel(16)
-		check(t, &quicksel.Model{Buckets: g.Buckets, Weights: g.Weights})
+		check(t, &hist.Model{Buckets: g.Buckets, Weights: g.Weights, Family: hist.QuickSel})
 	})
 	t.Run("isomer", func(t *testing.T) {
 		g := gridModel(16)
-		check(t, &isomer.Model{Buckets: g.Buckets, Weights: g.Weights})
+		check(t, &hist.Model{Buckets: g.Buckets, Weights: g.Weights, Family: hist.Isomer})
 	})
 	t.Run("ptshist", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
@@ -109,6 +111,45 @@ func TestBinaryRoundTripEstimates(t *testing.T) {
 		}
 		check(t, m)
 	})
+}
+
+// TestBinaryRejectsNonFinite: a snapshot whose checksums are valid but
+// whose model holds a NaN or infinite value must fail as an invalid model
+// rather than load and estimate NaN.
+func TestBinaryRejectsNonFinite(t *testing.T) {
+	halves := func() []geom.Box {
+		return []geom.Box{
+			{Lo: geom.Point{0, 0}, Hi: geom.Point{0.5, 1}},
+			{Lo: geom.Point{0.5, 0}, Hi: geom.Point{1, 1}},
+		}
+	}
+	infCorner := halves()
+	infCorner[1].Hi[0] = math.Inf(1)
+	cases := []struct {
+		name string
+		m    core.Model
+	}{
+		{"nan weight", &hist.Model{Buckets: halves(), Weights: []float64{1, math.NaN()}}},
+		{"inf weight", &hist.Model{Buckets: halves(), Weights: []float64{math.Inf(1), 0}}},
+		{"inf corner", &hist.Model{Buckets: infCorner, Weights: []float64{0.5, 0.5}}},
+		{"nan point", &ptshist.Model{
+			Points:  []geom.Point{{0.5, math.NaN()}},
+			Weights: []float64{1},
+		}},
+		{"nan mean", &gmm.Model{
+			Components: []gmm.Component{{Mean: geom.Point{math.NaN(), 0.5}, Sigma: 0.1}},
+			Weights:    []float64{1},
+		}},
+		{"nan sigma", &gmm.Model{
+			Components: []gmm.Component{{Mean: geom.Point{0.5, 0.5}, Sigma: math.NaN()}},
+			Weights:    []float64{1},
+		}},
+	}
+	for _, c := range cases {
+		if _, err := LoadAnyBytes(snapshot(t, c.m)); !errors.Is(err, ErrInvalidModel) {
+			t.Errorf("%s: LoadAnyBytes = %v, want ErrInvalidModel", c.name, err)
+		}
+	}
 }
 
 // TestBinaryLoadSeedsIndex checks the headline contract: a loaded

@@ -11,13 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/gmm"
 	"repro/internal/hist"
-	"repro/internal/isomer"
 	"repro/internal/ptshist"
-	"repro/internal/quicksel"
 )
 
 // Version is the current envelope version.
@@ -45,22 +44,49 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
+// boxFamilies names each hist.Model family in saved files: its envelope
+// type and its binary snapshot tag.
+var boxFamilies = [...]struct {
+	name string
+	tag  int
+}{
+	hist.QuadHist: {"quadhist", tagQuadhist},
+	hist.QuickSel: {"quicksel", tagQuicksel},
+	hist.Isomer:   {"isomer", tagIsomer},
+}
+
+// boxFamily returns the family whose boxFamilies entry satisfies match.
+func boxFamily(match func(name string, tag int) bool) (hist.Family, bool) {
+	for f, e := range boxFamilies {
+		if match(e.name, e.tag) {
+			return hist.Family(f), true
+		}
+	}
+	return 0, false
+}
+
 // TypeName maps a concrete model type to its envelope tag; ok is false
 // for types this package cannot save.
 func TypeName(m core.Model) (name string, ok bool) {
-	switch m.(type) {
+	name, _, ok = kindOf(m)
+	return name, ok
+}
+
+// kindOf returns a model's envelope type and binary snapshot tag; ok is
+// false for types this package cannot save.
+func kindOf(m core.Model) (name string, tag int, ok bool) {
+	switch t := m.(type) {
 	case *hist.Model:
-		return "quadhist", true
+		if int(t.Family) < len(boxFamilies) {
+			e := boxFamilies[t.Family]
+			return e.name, e.tag, true
+		}
 	case *ptshist.Model:
-		return "ptshist", true
-	case *quicksel.Model:
-		return "quicksel", true
-	case *isomer.Model:
-		return "isomer", true
+		return "ptshist", tagPtshist, true
 	case *gmm.Model:
-		return "gaussmix", true
+		return "gaussmix", tagGaussmix, true
 	}
-	return "", false
+	return "", 0, false
 }
 
 // Save writes the model to w. Only the concrete model types of this
@@ -89,18 +115,16 @@ func Load(r io.Reader) (core.Model, error) {
 	}
 	var m core.Model
 	switch env.Type {
-	case "quadhist":
-		m = &hist.Model{}
 	case "ptshist":
 		m = &ptshist.Model{}
-	case "quicksel":
-		m = &quicksel.Model{}
-	case "isomer":
-		m = &isomer.Model{}
 	case "gaussmix":
 		m = &gmm.Model{}
 	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownType, env.Type)
+		f, ok := boxFamily(func(name string, _ int) bool { return name == env.Type })
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownType, env.Type)
+		}
+		m = &hist.Model{Family: f}
 	}
 	if err := json.Unmarshal(env.Payload, m); err != nil {
 		return nil, fmt.Errorf("%w: decode %s payload: %v", ErrMalformed, env.Type, err)
@@ -112,11 +136,16 @@ func Load(r io.Reader) (core.Model, error) {
 }
 
 // validate performs structural sanity checks so a corrupted file fails at
-// load time rather than at estimation time.
+// load time rather than at estimation time: every weight, corner, point and
+// mean is finite, bucket corners are not inverted, and the weights form a
+// distribution.
 func validate(m core.Model) error {
 	checkWeights := func(n int, w []float64) error {
 		if len(w) != n {
 			return fmt.Errorf("%w: %d buckets but %d weights", ErrInvalidModel, n, len(w))
+		}
+		if err := checkFinite("weight", w); err != nil {
+			return err
 		}
 		sum := 0.0
 		for _, v := range w {
@@ -132,23 +161,53 @@ func validate(m core.Model) error {
 	}
 	switch t := m.(type) {
 	case *hist.Model:
+		for _, b := range t.Buckets {
+			if len(b.Lo) != len(t.Buckets[0].Lo) || len(b.Hi) != len(b.Lo) {
+				return fmt.Errorf("%w: bucket corners of mixed dimension", ErrInvalidModel)
+			}
+			if err := checkFinite("bucket corner", b.Lo); err != nil {
+				return err
+			}
+			if err := checkFinite("bucket corner", b.Hi); err != nil {
+				return err
+			}
+			for i := range b.Lo {
+				if b.Lo[i] > b.Hi[i] {
+					return fmt.Errorf("%w: inverted bucket %v", ErrInvalidModel, b)
+				}
+			}
+		}
 		return checkWeights(len(t.Buckets), t.Weights)
 	case *ptshist.Model:
+		for _, p := range t.Points {
+			if err := checkFinite("point", p); err != nil {
+				return err
+			}
+		}
 		return checkWeights(len(t.Points), t.Weights)
-	case *quicksel.Model:
-		return checkWeights(len(t.Buckets), t.Weights)
-	case *isomer.Model:
-		return checkWeights(len(t.Buckets), t.Weights)
 	case *gmm.Model:
 		if err := checkWeights(len(t.Components), t.Weights); err != nil {
 			return err
 		}
 		for _, c := range t.Components {
-			if c.Sigma <= 0 {
-				return fmt.Errorf("%w: non-positive component sigma %v", ErrInvalidModel, c.Sigma)
+			if err := checkFinite("component mean", c.Mean); err != nil {
+				return err
+			}
+			if !(c.Sigma > 0) || math.IsInf(c.Sigma, 1) {
+				return fmt.Errorf("%w: non-positive or infinite component sigma %v", ErrInvalidModel, c.Sigma)
 			}
 		}
 		return nil
+	}
+	return nil
+}
+
+// checkFinite rejects NaN and ±Inf values.
+func checkFinite(what string, vs []float64) error {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite %s %v", ErrInvalidModel, what, v)
+		}
 	}
 	return nil
 }

@@ -54,6 +54,11 @@ func TestRoundTripAllModelTypes(t *testing.T) {
 			t.Fatalf("%s: %v", tr.Name(), err)
 		}
 		got := roundTrip(t, m)
+		// A loader that dropped the family would still estimate the same.
+		want, _ := TypeName(m)
+		if name, _ := TypeName(got); name != want {
+			t.Fatalf("%s: saved as %s, loaded as %s", tr.Name(), want, name)
+		}
 		// Identical estimates on every test query.
 		for _, z := range test {
 			a, b := m.Estimate(z.R), got.Estimate(z.R)
@@ -97,6 +102,8 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		{"negative weight", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5],[0.1,0.1]],"Weights":[1.5,-0.5]}}`},
 		{"weights not normalized", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5]],"Weights":[0.2]}}`},
 		{"bad sigma", `{"version":1,"type":"gaussmix","payload":{"Components":[{"Mean":[0.5],"Sigma":0}],"Weights":[1]}}`},
+		{"inverted bucket", `{"version":1,"type":"quadhist","payload":{"Buckets":[{"Lo":[0.6,0.6],"Hi":[0.4,0.4]}],"Weights":[1]}}`},
+		{"ragged bucket", `{"version":1,"type":"quicksel","payload":{"Buckets":[{"Lo":[0.1],"Hi":[0.4,0.4]}],"Weights":[1]}}`},
 	}
 	for _, c := range cases {
 		if _, err := Load(strings.NewReader(c.input)); err == nil {

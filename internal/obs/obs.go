@@ -16,7 +16,7 @@
 //     `seltrain -trace out.json` offline).
 //   - Training stats: TrainLog collects per-stage wall time and solver
 //     iteration counts from the learners into a TrainStats value that
-//     flows to seltrain/selbench output and the last retrain on /statz.
+//     flows to seltrain output and the last retrain on /statz.
 //
 // Cost contract: the disabled paths are free enough to stay compiled into
 // the hot paths. A span start/stop with sampling off is a nil/atomic check

@@ -6,10 +6,10 @@
 // Learning" (arXiv:2409.07014) motivates under drifting workloads.
 //
 // The subsystem applies to the bucket-weight model families (QUADHIST,
-// QUICKSEL — anything implementing core.Reweightable): bucket geometry and
-// the BVH index structure are fixed at training time, so one feedback item
-// reduces to a sparse update of the weight vector. An update is three
-// steps, all O(touched buckets) except a final O(m) pass:
+// QUICKSEL, ISOMER — anything implementing core.Reweightable): bucket
+// geometry and the BVH index structure are fixed at training time, so one
+// feedback item reduces to a sparse update of the weight vector. An update
+// is three steps, all O(touched buckets) except a final O(m) pass:
 //
 //  1. Coverage row: the fractional coverages aⱼ = vol(Bⱼ∩R)/vol(Bⱼ) of
 //     the buckets the query overlaps, enumerated sparsely through the BVH

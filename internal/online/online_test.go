@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/hist"
+	"repro/internal/isomer"
 	"repro/internal/online"
 	"repro/internal/quicksel"
 	"repro/internal/rng"
@@ -301,32 +302,37 @@ func TestDimensionMismatchSkipped(t *testing.T) {
 	}
 }
 
-// TestQuickselSupported: the QUICKSEL family (overlapping buckets) takes
-// online updates through the same interface.
+// TestQuickselSupported: the QUICKSEL family (overlapping buckets) and
+// the ISOMER family (a maximum-entropy partition) take online updates
+// through the same interface.
 func TestQuickselSupported(t *testing.T) {
 	r := rng.New(3)
 	samples := make([]core.LabeledQuery, 40)
 	for i := range samples {
 		samples[i] = core.LabeledQuery{R: randomBox(r), Sel: r.Float64() * 0.5}
 	}
-	tr := quicksel.New(2, 17)
-	m, err := tr.Train(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, ok := online.ForModel(m, online.Options{})
-	if !ok {
-		t.Fatal("ForModel rejected a quicksel model")
-	}
-	q := geom.Box{Lo: geom.Point{0.2, 0.2}, Hi: geom.Point{0.8, 0.8}}
-	before := m.Estimate(q)
-	target := core.Clamp01(before + 0.2)
-	nm, st := u.Apply([]core.LabeledQuery{{R: q, Sel: target}})
-	if nm == nil || st.Applied != 1 {
-		t.Fatalf("quicksel update not applied: %+v", st)
-	}
-	if math.Abs(nm.Estimate(q)-target) >= math.Abs(before-target) {
-		t.Fatal("quicksel update did not reduce error")
+	for _, tr := range []core.Trainer{quicksel.New(2, 17), isomer.New(2)} {
+		m, err := tr.Train(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, ok := online.ForModel(m, online.Options{})
+		if !ok {
+			t.Fatalf("ForModel rejected a %s model", tr.Name())
+		}
+		q := geom.Box{Lo: geom.Point{0.2, 0.2}, Hi: geom.Point{0.8, 0.8}}
+		before := m.Estimate(q)
+		target := core.Clamp01(before + 0.2)
+		nm, st := u.Apply([]core.LabeledQuery{{R: q, Sel: target}})
+		if nm == nil || st.Applied != 1 {
+			t.Fatalf("%s update not applied: %+v", tr.Name(), st)
+		}
+		if nm.(*hist.Model).Family != m.(*hist.Model).Family {
+			t.Fatalf("%s update changed the model family", tr.Name())
+		}
+		if math.Abs(nm.Estimate(q)-target) >= math.Abs(before-target) {
+			t.Fatalf("%s update did not reduce error", tr.Name())
+		}
 	}
 }
 

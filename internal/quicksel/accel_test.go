@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bvh"
 	"repro/internal/core"
+	"repro/internal/hist"
 	"repro/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func TestTrainedModelAcceleratedMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mm.(*Model)
+	m := mm.(*hist.Model)
 	if m.NumBuckets() < bvh.IndexThreshold {
 		t.Fatalf("fixture too small to exercise the BVH path: %d buckets", m.NumBuckets())
 	}

@@ -18,9 +18,9 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/bvh"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/hist"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -68,20 +68,11 @@ func New(dim int, seed uint64) *Trainer {
 // Name implements core.Trainer.
 func (t *Trainer) Name() string { return "QuickSel" }
 
-// Model is a trained mixture of uniforms over overlapping boxes.
-// Estimate is BVH-accelerated above bvh.IndexThreshold buckets (the sum
-// runs over buckets, not space, so overlap is fine); Buckets and Weights
-// must not be mutated after the first Estimate/Accelerate call.
-type Model struct {
-	Buckets []geom.Box
-	Weights []float64
-
-	accel bvh.Lazy
-}
-
-// Train implements core.Trainer. Query ranges must expose a bounding box;
-// non-box ranges are approximated by their bounding boxes, as a mixture of
-// uniform boxes cannot represent them exactly.
+// Train implements core.Trainer. The model is a hist.Model of family
+// hist.QuickSel: a mixture of uniforms over overlapping boxes. Query
+// ranges must expose a bounding box; non-box ranges are approximated by
+// their bounding boxes, as a mixture of uniform boxes cannot represent
+// them exactly.
 func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("quicksel: empty training set")
@@ -124,7 +115,7 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 			return nil, err
 		}
 		t.Log.SetSolver("exact_qp", 0)
-		return &Model{Buckets: buckets, Weights: w}, nil
+		return &hist.Model{Buckets: buckets, Weights: w, Family: hist.QuickSel}, nil
 	}
 	// Regularization rows: √μ·(w − u) ≈ 0.
 	stage = t.Log.Stage("solve")
@@ -147,7 +138,7 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 		return nil, err
 	}
 	t.Log.SetSolver(sst.Method, sst.Iterations)
-	return &Model{Buckets: buckets, Weights: w}, nil
+	return &hist.Model{Buckets: buckets, Weights: w, Family: hist.QuickSel}, nil
 }
 
 // exactQPWeights solves min ‖w − u‖² subject to Ã·w = s̃, where Ã is A with
@@ -233,52 +224,4 @@ func jitteredSubBox(b geom.Box, r *rng.RNG) geom.Box {
 	return geom.Box{Lo: lo, Hi: hi}
 }
 
-// NumBuckets implements core.Model.
-func (m *Model) NumBuckets() int { return len(m.Buckets) }
-
-// Estimate implements core.Model: mixture of uniforms, Equation 6 with
-// overlapping buckets, via the shared BVH for large models and the flat
-// kernel below the indexing threshold.
-func (m *Model) Estimate(r geom.Range) float64 {
-	if t := m.accel.Ensure(m.Buckets, m.Weights); t != nil {
-		return t.Estimate(r)
-	}
-	return bvh.EstimateFlat(m.Buckets, m.Weights, r)
-}
-
-// Accelerate implements core.Accelerable (force the one-time BVH build).
-func (m *Model) Accelerate() { m.accel.Ensure(m.Buckets, m.Weights) }
-
-// IndexTree returns the built BVH index, or nil if none has been built
-// yet. It never triggers a build; the binary snapshot writer uses it to
-// decide whether a tree section can be persisted.
-func (m *Model) IndexTree() *bvh.Tree { return m.accel.Built() }
-
-// SeedIndex installs a prebuilt BVH as this model's index (winning only if
-// none exists yet), so a model loaded from a binary snapshot skips the
-// build entirely — the subsequent Accelerate is a no-op.
-func (m *Model) SeedIndex(t *bvh.Tree) { m.accel.Seed(t) }
-
-// WeightView implements core.Reweightable.
-func (m *Model) WeightView() ([]geom.Box, []float64) { return m.Buckets, m.Weights }
-
-// WithWeights implements core.Reweightable: bucket geometry (and, when
-// built, the BVH node structure) is shared with the receiver; only the
-// weight vector and the cached subtree sums are new. Overlapping buckets
-// need no special handling — the estimate sum runs over buckets, not
-// space.
-func (m *Model) WithWeights(w []float64) core.Model {
-	if len(w) != len(m.Buckets) {
-		panic("quicksel: WithWeights weight count mismatch")
-	}
-	nm := &Model{Buckets: m.Buckets, Weights: w}
-	if t := m.accel.Built(); t != nil {
-		nm.accel.Seed(t.Reweight(w))
-	}
-	return nm
-}
-
 var _ core.Trainer = (*Trainer)(nil)
-var _ core.Model = (*Model)(nil)
-var _ core.Accelerable = (*Model)(nil)
-var _ core.Reweightable = (*Model)(nil)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/hist"
 	"repro/internal/workload"
 )
 
@@ -47,7 +48,7 @@ func TestWeightsOnSimplex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := m.(*Model)
+	model := m.(*hist.Model)
 	sum := 0.0
 	for _, w := range model.Weights {
 		if w < -1e-12 {
@@ -142,7 +143,7 @@ func TestExactQPFitsTrainingExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := m.(*Model)
+	model := m.(*hist.Model)
 	// Sum-to-one holds exactly (it is one of the equality constraints).
 	sum := 0.0
 	negatives := 0

@@ -177,14 +177,6 @@ func modelDim(m core.Model) (int, bool) {
 		if len(t.Points) > 0 {
 			return len(t.Points[0]), true
 		}
-	case *quicksel.Model:
-		if len(t.Buckets) > 0 {
-			return t.Buckets[0].Dim(), true
-		}
-	case *isomer.Model:
-		if len(t.Buckets) > 0 {
-			return t.Buckets[0].Dim(), true
-		}
 	case *gmm.Model:
 		if len(t.Components) > 0 {
 			return len(t.Components[0].Mean), true
@@ -209,21 +201,24 @@ func trainerFor(m core.Model, n int, seed uint64, log *obs.TrainLog) (core.Train
 		return nil, fmt.Errorf("serve: cannot infer dimensionality of empty %s model", modelTypeName(m))
 	}
 	buckets := min(4*n, maxRetrainBuckets)
-	switch m.(type) {
+	switch t := m.(type) {
 	case *hist.Model:
-		tr := hist.New(dim, buckets)
-		tr.Log = log
-		return tr, nil
+		switch t.Family {
+		case hist.QuadHist:
+			tr := hist.New(dim, buckets)
+			tr.Log = log
+			return tr, nil
+		case hist.QuickSel:
+			tr := quicksel.New(dim, seed)
+			tr.Log = log
+			return tr, nil
+		case hist.Isomer:
+			tr := isomer.New(dim)
+			tr.Log = log
+			return tr, nil
+		}
 	case *ptshist.Model:
 		tr := ptshist.New(dim, buckets, seed)
-		tr.Log = log
-		return tr, nil
-	case *quicksel.Model:
-		tr := quicksel.New(dim, seed)
-		tr.Log = log
-		return tr, nil
-	case *isomer.Model:
-		tr := isomer.New(dim)
 		tr.Log = log
 		return tr, nil
 	}

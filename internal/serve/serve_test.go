@@ -15,7 +15,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/hist"
+	"repro/internal/isomer"
 	"repro/internal/modelio"
+	"repro/internal/ptshist"
+	"repro/internal/quicksel"
 	"repro/internal/wirebin"
 	"repro/internal/workload"
 )
@@ -496,14 +499,25 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestTrainerForAllFamilies(t *testing.T) {
 	train, _ := fixture(t, 40, 5)
-	models := []core.Model{trainModel(t, train)}
-	for _, m := range models {
+	for _, orig := range []core.Trainer{
+		hist.New(2, 200),
+		ptshist.New(2, 100, 3),
+		quicksel.New(2, 5),
+		isomer.New(2),
+	} {
+		m, err := orig.Train(train)
+		if err != nil {
+			t.Fatalf("%s: %v", orig.Name(), err)
+		}
 		tr, err := trainerFor(m, 40, 1, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", orig.Name(), err)
+		}
+		if tr.Name() != orig.Name() {
+			t.Fatalf("a %s model got a %s retrainer", orig.Name(), tr.Name())
 		}
 		if _, err := tr.Train(train); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s retrain: %v", orig.Name(), err)
 		}
 	}
 	// Unsupported/empty models degrade to an error, not a panic.

@@ -30,7 +30,7 @@ var ErrMaxIterations = errors.New("solver: iteration budget exhausted")
 // Stats reports what a weight-estimation call actually did — which
 // algorithm ran and how many (outer) iterations it took. The learners
 // surface it through obs.TrainStats so per-query adaptation cost is
-// visible in seltrain/selbench output and the last retrain on /statz. A nil
+// visible in seltrain output and the last retrain on /statz. A nil
 // *Stats is ignored everywhere, so uninstrumented callers pay nothing.
 type Stats struct {
 	// Method is the algorithm that ran: "nnls", "pgd", or "exact_qp".

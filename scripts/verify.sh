@@ -28,7 +28,9 @@ go run ./cmd/selvet -strict-suppressions ./...
 # since /metrics pages are diffed byte-for-byte in tests. internal/online
 # is in the sweep because its whole contract is deterministic pure-compute
 # updates (detrand: no clocks — latency timing lives in the serve layer).
-go run ./cmd/selvet ./internal/serve ./internal/parallel ./internal/core ./internal/bvh ./internal/obs ./internal/online ./internal/gmm ./internal/wirebin ./internal/modelio ./internal/load
+# internal/hist holds the one box-histogram model every box learner
+# returns (QUADHIST, QUICKSEL, ISOMER), so every box family serves through it.
+go run ./cmd/selvet ./internal/serve ./internal/parallel ./internal/core ./internal/bvh ./internal/obs ./internal/online ./internal/gmm ./internal/wirebin ./internal/modelio ./internal/load ./internal/hist
 
 # Prove the gate can fail: the seeded-violation fixture must be flagged.
 # If selvet ever exits 0 here, the analyzers have gone blind and the
@@ -109,8 +111,9 @@ go test -race -run 'TestBinJSONEquivalence|TestBinConcurrentSwaps|TestRetrainSur
 go test -run 'TestBinFrameZeroAlloc' -count=1 ./internal/serve
 # Binary snapshot gates: load must seed the BVH (no rebuild on
 # Accelerate) and corrupted/truncated snapshots must fail typed, including
-# a checksum-valid tree that reaches a bucket twice.
-go test -run 'TestBinaryRoundTripEstimates|TestBinaryLoadSeedsIndex|TestBinaryCorruption|TestBinaryRejectsTreeReachingBucketTwice' -count=1 ./internal/modelio
+# a checksum-valid tree that reaches a bucket twice and a checksum-valid
+# model holding a NaN or infinite value.
+go test -run 'TestBinaryRoundTripEstimates|TestBinaryLoadSeedsIndex|TestBinaryCorruption|TestBinaryRejectsTreeReachingBucketTwice|TestBinaryRejectsNonFinite' -count=1 ./internal/modelio
 # Load-harness gates (DESIGN.md §16). First the library contracts: the
 # open-loop schedule must be byte-identical across worker counts and the
 # shared latency reporter must render the same bytes at any fill

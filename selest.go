@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/arrangement"
-	"repro/internal/bvh"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -194,34 +193,16 @@ func NewIncrementalQuadHist(dim int, tau float64, maxBuckets, refitEvery int) (*
 	})
 }
 
-// IndexModel wraps a box-bucketed model (QUADHIST, ISOMER, QUICKSEL) in a
-// bounding-volume hierarchy for sublinear prediction. It returns the model
-// unchanged when its buckets are not boxes (PTSHIST and GaussMix are
-// already cheap to evaluate). Estimates are identical to the unindexed
-// model's.
+// IndexModel builds a box-bucketed model's (QUADHIST, ISOMER, QUICKSEL)
+// bounding-volume hierarchy now rather than on its first estimate, and
+// returns the model itself. Every such model at 64 buckets and above owns
+// this index; smaller models, and models whose buckets are not boxes
+// (PTSHIST, GaussMix), have none and pass through untouched. Estimates are
+// bit-identical either way.
 func IndexModel(m Model) Model {
-	var buckets []geom.Box
-	var weights []float64
-	switch t := m.(type) {
-	case *hist.Model:
-		buckets, weights = t.Buckets, t.Weights
-	case *isomer.Model:
-		buckets, weights = t.Buckets, t.Weights
-	case *quicksel.Model:
-		buckets, weights = t.Buckets, t.Weights
-	default:
-		return m
-	}
-	return indexedModel{tree: bvh.Build(buckets, weights), n: len(buckets)}
+	core.Accelerate(m)
+	return m
 }
-
-type indexedModel struct {
-	tree *bvh.Tree
-	n    int
-}
-
-func (im indexedModel) Estimate(r Range) float64 { return im.tree.Estimate(r) }
-func (im indexedModel) NumBuckets() int          { return im.n }
 
 // SaveModel persists a trained model in the JSON envelope format.
 func SaveModel(w io.Writer, m Model) error { return modelio.Save(w, m) }
