@@ -230,8 +230,9 @@ func BenchmarkServeBin(b *testing.B) {
 
 // BenchmarkSnapshotLoad measures cold-start model load from in-memory
 // snapshot bytes through core.Accelerate, ready to serve. The binary
-// format carries the BVH, so its Accelerate is a no-op; the JSON row
-// pays a full parse plus an index build.
+// format carries the BVH's leaf order, so its load derives the tree
+// without the bucket sort and its Accelerate is a no-op; the JSON row
+// pays a full parse plus an index build, sort included.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	const m = 16384
 	model := estPathModel(m)

@@ -52,11 +52,12 @@ type Tree struct {
 	dim int
 	// Node arrays, indexed by node id. Ids are assigned in build order
 	// (pre-order), so children always have larger ids than their parent —
-	// which is what lets sumWeights run as one reverse sweep.
+	// which is what lets newTree's box sweep and sumWeights each run as
+	// one reverse sweep.
 	nlo, nhi    []float64 // node bounding boxes, dim coords per node
 	left, right []int32   // child node ids, -1 at leaves
 	loff, lcnt  []int32   // a leaf's window [loff, loff+lcnt) into leafIdx
-	leafIdx     []int32   // bucket ids; each leaf's window is contiguous
+	leafIdx     []int32   // bucket ids in leaf order (Order)
 	// Bucket geometry flattened alongside the originals: blo/bhi mirror
 	// buckets[j].Lo/Hi at offset j*dim, kept so the leaf loops read
 	// contiguous memory instead of slice-of-slice corners.
@@ -89,93 +90,185 @@ type bucket2 struct {
 	w, invVol          float64
 }
 
-// Build constructs a BVH over the buckets with the given weights. The
+// Build constructs a BVH over the buckets with the given weights: it sorts
+// the bucket ids into leaf order and lays the tree over that order. The
 // slices are captured, not copied; callers must not mutate them afterward.
 func Build(buckets []geom.Box, weights []float64) *Tree {
 	if len(buckets) != len(weights) {
 		panic("bvh: buckets/weights length mismatch")
 	}
-	t := &Tree{buckets: buckets, weights: weights}
-	t.invVols = make([]float64, len(buckets))
-	for j, b := range buckets {
-		if v := b.Volume(); v > 0 {
-			t.invVols[j] = 1 / v
-		}
-	}
 	if len(buckets) == 0 {
-		return t
+		return newTree(buckets, weights, nil, nil, nil)
 	}
 	d := buckets[0].Dim()
-	t.dim = d
-	t.blo = make([]float64, len(buckets)*d)
-	t.bhi = make([]float64, len(buckets)*d)
-	for j, b := range buckets {
-		copy(t.blo[j*d:(j+1)*d], b.Lo)
-		copy(t.bhi[j*d:(j+1)*d], b.Hi)
+	blo := make([]float64, 0, len(buckets)*d)
+	bhi := make([]float64, 0, len(buckets)*d)
+	for _, b := range buckets {
+		blo = append(blo, b.Lo...)
+		bhi = append(bhi, b.Hi...)
 	}
-	idx := make([]int32, len(buckets))
-	for i := range idx {
-		idx[i] = int32(i)
+	order := make([]int32, len(buckets))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	t.leafIdx = make([]int32, 0, len(buckets))
-	t.build(idx)
-	t.wsums = make([]float64, t.numNodes())
-	t.sumWeights()
-	t.nodes2, t.buckets2 = pack2(t)
-	return t
+	sortOrder(order, blo, bhi, d)
+	return newTree(buckets, weights, blo, bhi, order)
 }
 
-func (t *Tree) numNodes() int { return len(t.left) }
-
-// build appends the subtree over idx to the node arrays and returns its id.
-// Ids and the split rule (widest dimension, median bucket center) are
-// identical to the historical pointer-tree builder, so trees built from the
-// same buckets have the same shape they always had.
-func (t *Tree) build(idx []int32) int32 {
-	d := t.dim
-	id := int32(len(t.left))
-	off := int(id) * d
-	t.nlo = append(t.nlo, t.blo[int(idx[0])*d:(int(idx[0])+1)*d]...)
-	t.nhi = append(t.nhi, t.bhi[int(idx[0])*d:(int(idx[0])+1)*d]...)
-	nlo := t.nlo[off : off+d]
-	nhi := t.nhi[off : off+d]
-	for _, j := range idx[1:] {
-		bo := int(j) * d
-		for i := 0; i < d; i++ {
-			nlo[i] = min(nlo[i], t.blo[bo+i])
-			nhi[i] = max(nhi[i], t.bhi[bo+i])
+// FromOrder rebuilds the tree Build made over these buckets from its leaf
+// order (Tree.Order) alone, so a snapshot need store nothing else: node
+// boxes, subtree sums, inverse volumes and the 2-D records are derived
+// from the buckets and weights exactly as Build derives them. blo and bhi
+// hold the bucket corners flattened (bucket j's at j·dim). It fails
+// unless order is a permutation of the bucket ids. All slices are
+// captured, not copied.
+func FromOrder(buckets []geom.Box, weights []float64, blo, bhi []float64, order []int32) (*Tree, error) {
+	m, d := len(buckets), 0
+	if m > 0 {
+		d = buckets[0].Dim()
+	}
+	switch {
+	case len(weights) != m:
+		return nil, fmt.Errorf("bvh: %d buckets but %d weights", m, len(weights))
+	case len(order) != m:
+		return nil, fmt.Errorf("bvh: %d buckets but %d ids in the order", m, len(order))
+	case len(blo) != m*d || len(bhi) != m*d:
+		return nil, fmt.Errorf("bvh: bucket corner arrays want %d coords, have %d/%d", m*d, len(blo), len(bhi))
+	}
+	seen := make([]bool, m)
+	for _, j := range order {
+		if j < 0 || int(j) >= m {
+			return nil, fmt.Errorf("bvh: bucket id %d out of range", j)
 		}
+		if seen[j] {
+			return nil, fmt.Errorf("bvh: bucket %d twice in the order", j)
+		}
+		seen[j] = true
 	}
-	t.left = append(t.left, -1)
-	t.right = append(t.right, -1)
-	t.loff = append(t.loff, 0)
-	t.lcnt = append(t.lcnt, 0)
+	return newTree(buckets, weights, blo, bhi, order), nil
+}
+
+// sortOrder arranges idx into leaf order. It recurses the way build
+// splits (at len/2, down to maxLeafSize) and sorts each window it splits
+// by bucket center along the widest dimension of the window's bounding
+// box. This order is the only part of a tree the geometry decides.
+func sortOrder(idx []int32, blo, bhi []float64, d int) {
 	if len(idx) <= maxLeafSize {
-		t.loff[id] = int32(len(t.leafIdx))
-		t.lcnt[id] = int32(len(idx))
-		t.leafIdx = append(t.leafIdx, idx...)
-		return id
+		return
 	}
-	// Split along the widest dimension at the median bucket center.
-	axis := 0
-	widest := nhi[0] - nlo[0]
-	for i := 1; i < d; i++ {
-		if w := nhi[i] - nlo[i]; w > widest {
+	axis, widest := 0, 0.0
+	for i := 0; i < d; i++ {
+		lo, hi := blo[int(idx[0])*d+i], bhi[int(idx[0])*d+i]
+		for _, j := range idx[1:] {
+			lo, hi = min(lo, blo[int(j)*d+i]), max(hi, bhi[int(j)*d+i])
+		}
+		if w := hi - lo; i == 0 || w > widest {
 			widest, axis = w, i
 		}
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		ca := t.blo[int(idx[a])*d+axis] + t.bhi[int(idx[a])*d+axis]
-		cb := t.blo[int(idx[b])*d+axis] + t.bhi[int(idx[b])*d+axis]
+		ca := blo[int(idx[a])*d+axis] + bhi[int(idx[a])*d+axis]
+		cb := blo[int(idx[b])*d+axis] + bhi[int(idx[b])*d+axis]
 		return ca < cb
 	})
 	mid := len(idx) / 2
-	// nlo/nhi are stale after the recursive appends; they are not used
-	// again below.
-	lo := t.build(idx[:mid])
-	hi := t.build(idx[mid:])
-	t.left[id] = lo
-	t.right[id] = hi
+	sortOrder(idx[:mid], blo, bhi, d)
+	sortOrder(idx[mid:], blo, bhi, d)
+}
+
+// newTree is the one constructor behind Build and FromOrder. It lays
+// build's topology over the leaf order and derives the rest in one
+// reverse sweep: a leaf's box, its buckets' inverse volumes and its
+// weight sum from its window, a parent's box and sum from its children's
+// (min and max give the same bits in any order).
+func newTree(buckets []geom.Box, weights []float64, blo, bhi []float64, order []int32) *Tree {
+	t := &Tree{buckets: buckets, weights: weights}
+	m := len(buckets)
+	if m == 0 {
+		return t
+	}
+	d := buckets[0].Dim()
+	t.dim, t.blo, t.bhi, t.leafIdx = d, blo, bhi, order
+	n := nodesFor(int32(m))
+	t.left, t.right = make([]int32, 0, n), make([]int32, 0, n)
+	t.loff, t.lcnt = make([]int32, 0, n), make([]int32, 0, n)
+	t.build(0, int32(m))
+	t.nlo, t.nhi = make([]float64, n*d), make([]float64, n*d)
+	t.invVols = make([]float64, m)
+	t.wsums = make([]float64, n)
+	for id := n - 1; id >= 0; id-- {
+		lo, hi := t.nlo[id*d:(id+1)*d], t.nhi[id*d:(id+1)*d]
+		if l, r := int(t.left[id]), int(t.right[id]); l >= 0 {
+			for i := range lo {
+				lo[i] = min(t.nlo[l*d+i], t.nlo[r*d+i])
+				hi[i] = max(t.nhi[l*d+i], t.nhi[r*d+i])
+			}
+		} else {
+			window := order[t.loff[id] : t.loff[id]+t.lcnt[id]]
+			copy(lo, blo[int(window[0])*d:])
+			copy(hi, bhi[int(window[0])*d:])
+			for _, j := range window {
+				bo := int(j) * d
+				for i := range lo {
+					lo[i] = min(lo[i], blo[bo+i])
+					hi[i] = max(hi[i], bhi[bo+i])
+				}
+				t.invVols[j] = invVol(blo[bo:bo+d], bhi[bo:bo+d])
+			}
+		}
+		t.wsums[id] = t.nodeSum(id)
+	}
+	t.nodes2, t.buckets2 = pack2(t)
+	return t
+}
+
+// invVol is 1/vol of the box with corners lo and hi, or 0 if the volume
+// is not positive. The volume is geom.Box.Volume's product, factor for
+// factor, so the bits match a Box's.
+func invVol(lo, hi []float64) float64 {
+	v := 1.0
+	for i := range lo {
+		side := hi[i] - lo[i]
+		if side <= 0 {
+			return 0
+		}
+		v *= side
+	}
+	if v > 0 {
+		return 1 / v
+	}
+	return 0
+}
+
+func (t *Tree) numNodes() int { return len(t.left) }
+
+// nodesFor is the node count of the tree build lays over n buckets, so
+// the link and window arrays are allocated once.
+func nodesFor(n int32) int {
+	if n <= maxLeafSize {
+		return 1
+	}
+	return 1 + nodesFor(n/2) + nodesFor(n-n/2)
+}
+
+// build appends the subtree over the leaf-order window [off, off+n) to the
+// link and leaf-window arrays and returns its id: a leaf at maxLeafSize
+// buckets or fewer, otherwise a node split at n/2. The shape therefore
+// depends only on the bucket count, and ids come out in pre-order.
+func (t *Tree) build(off, n int32) int32 {
+	id := int32(len(t.left))
+	t.left = append(t.left, -1)
+	t.right = append(t.right, -1)
+	t.loff = append(t.loff, 0)
+	t.lcnt = append(t.lcnt, 0)
+	if n <= maxLeafSize {
+		t.loff[id], t.lcnt[id] = off, n
+		return id
+	}
+	mid := n / 2
+	lo := t.build(off, mid)
+	hi := t.build(off+mid, n-mid)
+	t.left[id], t.right[id] = lo, hi
 	return id
 }
 
@@ -216,22 +309,27 @@ func (t *Tree) Reweight(w []float64) *Tree {
 
 // sumWeights fills wsums for every node in one reverse sweep: children
 // have larger ids than their parent, so by the time a parent is reached
-// both subtree sums are ready. Leaf sums add bucket weights in leaf-window
-// order and parents add left+right — exactly the post-order recursion the
-// pointer tree used, so reweighted trees produce byte-identical sums for a
-// given weight vector.
+// both subtree sums are ready.
 func (t *Tree) sumWeights() {
 	for id := t.numNodes() - 1; id >= 0; id-- {
-		if t.left[id] < 0 {
-			s := 0.0
-			for _, j := range t.leafIdx[t.loff[id] : t.loff[id]+t.lcnt[id]] {
-				s += t.weights[j]
-			}
-			t.wsums[id] = s
-			continue
-		}
-		t.wsums[id] = t.wsums[t.left[id]] + t.wsums[t.right[id]]
+		t.wsums[id] = t.nodeSum(id)
 	}
+}
+
+// nodeSum is node id's subtree weight sum once its children's are in
+// wsums. Leaf sums add bucket weights in leaf-window order and parents
+// add left+right — exactly the post-order recursion the pointer tree
+// used, so reweighted trees produce byte-identical sums for a given
+// weight vector.
+func (t *Tree) nodeSum(id int) float64 {
+	if t.left[id] >= 0 {
+		return t.wsums[t.left[id]] + t.wsums[t.right[id]]
+	}
+	s := 0.0
+	for _, j := range t.leafIdx[t.loff[id] : t.loff[id]+t.lcnt[id]] {
+		s += t.weights[j]
+	}
+	return s
 }
 
 // Len returns the number of indexed buckets.
@@ -239,6 +337,11 @@ func (t *Tree) Len() int { return len(t.buckets) }
 
 // Weights returns the tree's weight vector. Callers must not mutate it.
 func (t *Tree) Weights() []float64 { return t.weights }
+
+// Order returns the bucket ids in leaf order, which with the buckets and
+// weights determines the whole tree (FromOrder). Callers must not mutate
+// it.
+func (t *Tree) Order() []int32 { return t.leafIdx }
 
 // Estimate returns Σⱼ vol(Bⱼ∩R)/vol(Bⱼ)·wⱼ over all indexed buckets,
 // clamped to [0,1]. Box queries (by value or pointer — the serving wire
@@ -319,8 +422,8 @@ func estimateBox2(ns []node2, bs []bucket2, id int32, lo0, lo1, hi0, hi1 float64
 
 // pack2 derives the 2-D box walk's records from a tree's arrays, subtree
 // sums and weights, or returns nil for other dimensions. Every bucket sits
-// in exactly one leaf (Build makes it so and FromRaw checks it), so
-// counting the nonzero weights first sizes the bucket records exactly.
+// in exactly one leaf (the leaf order is a permutation), so counting the
+// nonzero weights first sizes the bucket records exactly.
 func pack2(t *Tree) ([]node2, []bucket2) {
 	n := t.numNodes()
 	if t.dim != 2 || n == 0 {
@@ -612,151 +715,3 @@ func (l *Lazy) Seed(t *Tree) {
 // Built returns the index if one has been built or seeded, and nil
 // otherwise. It never triggers a build.
 func (l *Lazy) Built() *Tree { return l.tree.Load() }
-
-// Raw is a Tree's complete structural state as flat arrays, for
-// serialization: every field maps one-to-one onto a Tree's internal
-// structure-of-arrays layout, so a snapshot can store the arrays verbatim
-// and a load can rebuild the index without re-running the builder (no
-// sorting, no recursion, no weight sweep). Buckets and weights are not
-// part of Raw — they belong to the owning model and are passed separately
-// to FromRaw, which shares them exactly like Build does.
-type Raw struct {
-	Dim         int
-	NLo, NHi    []float64 // node bounding boxes, Dim coords per node
-	Left, Right []int32   // child node ids, -1 at leaves
-	LOff, LCnt  []int32   // leaf windows into LeafIdx
-	LeafIdx     []int32   // bucket ids, each leaf's window contiguous
-	InvVols     []float64 // per-bucket inverse volumes (0 for zero-volume)
-	WSums       []float64 // subtree weight sums, indexed by node id
-}
-
-// Raw exports the tree's structural arrays. The returned slices alias the
-// tree's internals (both are immutable); callers must not mutate them.
-func (t *Tree) Raw() Raw {
-	return Raw{
-		Dim:     t.dim,
-		NLo:     t.nlo,
-		NHi:     t.nhi,
-		Left:    t.left,
-		Right:   t.right,
-		LOff:    t.loff,
-		LCnt:    t.lcnt,
-		LeafIdx: t.leafIdx,
-		InvVols: t.invVols,
-		WSums:   t.wsums,
-	}
-}
-
-// FromRaw reconstructs a Tree from exported structural arrays plus the
-// owning model's buckets and weights, validating every cross-reference so
-// corrupt or adversarial input yields an error instead of a tree whose
-// walks read out of bounds or reach a bucket twice or never. All slices
-// (including blo/bhi, which callers typically alias into the same backing
-// store as the bucket corners) are captured, not copied; the 2-D walk's
-// records are derived from them.
-func FromRaw(r Raw, buckets []geom.Box, weights []float64, blo, bhi []float64) (*Tree, error) {
-	m, n := len(buckets), len(r.Left)
-	d := r.Dim
-	switch {
-	case len(weights) != m:
-		return nil, fmt.Errorf("bvh: %d buckets but %d weights", m, len(weights))
-	case len(r.InvVols) != m:
-		return nil, fmt.Errorf("bvh: %d buckets but %d invVols", m, len(r.InvVols))
-	case n == 0 && m > 0, d <= 0 && n > 0:
-		return nil, fmt.Errorf("bvh: empty tree over %d buckets", m)
-	case len(r.Right) != n || len(r.LOff) != n || len(r.LCnt) != n || len(r.WSums) != n:
-		return nil, fmt.Errorf("bvh: node array lengths disagree")
-	case len(r.NLo) != n*d || len(r.NHi) != n*d:
-		return nil, fmt.Errorf("bvh: node box arrays want %d coords, have %d/%d", n*d, len(r.NLo), len(r.NHi))
-	case len(r.LeafIdx) > m:
-		return nil, fmt.Errorf("bvh: leafIdx longer than bucket count")
-	case len(blo) != m*d || len(bhi) != m*d:
-		return nil, fmt.Errorf("bvh: bucket corner arrays want %d coords, have %d/%d", m*d, len(blo), len(bhi))
-	}
-	for id := 0; id < n; id++ {
-		l, rgt := r.Left[id], r.Right[id]
-		if (l < 0) != (rgt < 0) {
-			return nil, fmt.Errorf("bvh: node %d has one child", id)
-		}
-		if l < 0 {
-			off, cnt := r.LOff[id], r.LCnt[id]
-			if cnt < 0 || off < 0 || int(off)+int(cnt) > len(r.LeafIdx) {
-				return nil, fmt.Errorf("bvh: node %d leaf window out of range", id)
-			}
-			continue
-		}
-		// Pre-order ids: children strictly after the parent keeps the
-		// reverse weight sweep and walk recursion acyclic.
-		if int(l) <= id || int(rgt) <= id || int(l) >= n || int(rgt) >= n {
-			return nil, fmt.Errorf("bvh: node %d has out-of-order children %d/%d", id, l, rgt)
-		}
-	}
-	for _, j := range r.LeafIdx {
-		if j < 0 || int(j) >= m {
-			return nil, fmt.Errorf("bvh: leafIdx entry %d out of range", j)
-		}
-	}
-	if n > 0 {
-		if err := checkReach(r, m); err != nil {
-			return nil, err
-		}
-	}
-	t := &Tree{
-		dim:     d,
-		nlo:     r.NLo,
-		nhi:     r.NHi,
-		left:    r.Left,
-		right:   r.Right,
-		loff:    r.LOff,
-		lcnt:    r.LCnt,
-		leafIdx: r.LeafIdx,
-		blo:     blo,
-		bhi:     bhi,
-		buckets: buckets,
-		weights: weights,
-		invVols: r.InvVols,
-		wsums:   r.WSums,
-	}
-	t.nodes2, t.buckets2 = pack2(t)
-	return t, nil
-}
-
-// checkReach walks r from the root and fails unless the walk reaches every
-// node and every one of the m buckets exactly once. Links and windows must
-// already be in range. A tree that shares a subtree or a bucket between
-// two parents, or leaves one out, would count its weights twice or never.
-func checkReach(r Raw, m int) error {
-	n := len(r.Left)
-	nodeSeen := make([]bool, n)
-	bucketSeen := make([]bool, m)
-	stack := []int32{0}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nodeSeen[id] {
-			return fmt.Errorf("bvh: node %d reached twice", id)
-		}
-		nodeSeen[id] = true
-		if r.Left[id] >= 0 {
-			stack = append(stack, r.Right[id], r.Left[id])
-			continue
-		}
-		for _, j := range r.LeafIdx[r.LOff[id] : r.LOff[id]+r.LCnt[id]] {
-			if bucketSeen[j] {
-				return fmt.Errorf("bvh: bucket %d reached twice", j)
-			}
-			bucketSeen[j] = true
-		}
-	}
-	for id, ok := range nodeSeen {
-		if !ok {
-			return fmt.Errorf("bvh: node %d unreachable from the root", id)
-		}
-	}
-	for j, ok := range bucketSeen {
-		if !ok {
-			return fmt.Errorf("bvh: bucket %d in no leaf", j)
-		}
-	}
-	return nil
-}

@@ -117,24 +117,24 @@ func checkWalk2(t *testing.T, name string, tr *Tree, buckets []geom.Box, weights
 	}
 }
 
-// copyRaw deep-copies a tree's exported arrays, so FromRaw gets storage
-// the source tree does not share.
-func copyRaw(r Raw) Raw {
-	return Raw{
-		Dim:     r.Dim,
-		NLo:     append([]float64(nil), r.NLo...),
-		NHi:     append([]float64(nil), r.NHi...),
-		Left:    append([]int32(nil), r.Left...),
-		Right:   append([]int32(nil), r.Right...),
-		LOff:    append([]int32(nil), r.LOff...),
-		LCnt:    append([]int32(nil), r.LCnt...),
-		LeafIdx: append([]int32(nil), r.LeafIdx...),
-		InvVols: append([]float64(nil), r.InvVols...),
-		WSums:   append([]float64(nil), r.WSums...),
+// fromOrder rebuilds tr with FromOrder over a copy of its leaf order and
+// freshly flattened corners, so the result shares only the buckets and
+// weights with tr.
+func fromOrder(t *testing.T, tr *Tree, buckets []geom.Box, weights []float64) *Tree {
+	t.Helper()
+	var lo, hi []float64
+	for _, b := range buckets {
+		lo = append(lo, b.Lo...)
+		hi = append(hi, b.Hi...)
 	}
+	got, err := FromOrder(buckets, weights, lo, hi, append([]int32(nil), tr.Order()...))
+	if err != nil {
+		t.Fatalf("FromOrder over a built tree's order: %v", err)
+	}
+	return got
 }
 
-// Property: on random 2-D trees from Build, FromRaw and Reweight — with
+// Property: on random 2-D trees from Build, FromOrder and Reweight — with
 // overlapping, face-touching and zero-volume buckets, many exact-zero
 // weights, an all-zero leaf and an all-zero tree — the packed 2-D walk
 // returns estimateBox's exact bits for every query.
@@ -161,12 +161,8 @@ func TestPropertyWalk2MatchesEstimateBoxBits(t *testing.T) {
 		built = Build(buckets, weights)
 		checkWalk2(t, "build", built, buckets, weights, queries)
 
-		lo, hi := append([]float64(nil), built.blo...), append([]float64(nil), built.bhi...)
-		loaded, err := FromRaw(copyRaw(built.Raw()), buckets, weights, lo, hi)
-		if err != nil {
-			t.Fatalf("trial %d: FromRaw of a built tree: %v", trial, err)
-		}
-		checkWalk2(t, "fromraw", loaded, buckets, weights, queries)
+		loaded := fromOrder(t, built, buckets, weights)
+		checkWalk2(t, "fromorder", loaded, buckets, weights, queries)
 
 		// Reweight zero buckets to nonzero and nonzero ones to zero, and
 		// back to the original vector.
@@ -204,40 +200,6 @@ func TestWalk2OnlyTwoDimensional(t *testing.T) {
 		tr := Build(buckets, walk2Weights(r, len(buckets), 0.5))
 		if tr.nodes2 != nil || tr.buckets2 != nil {
 			t.Fatalf("d=%d tree carries 2-D records", d)
-		}
-	}
-}
-
-// FromRaw must reject a tree whose walk from the root reaches a bucket or
-// a node twice, or never reaches a bucket: its estimates would count those
-// weights twice or not at all, and the packed records would copy it.
-func TestFromRawRejectsRepeatedReach(t *testing.T) {
-	r := rng.New(12)
-	buckets := walk2Buckets(r, 200, false)
-	weights := walk2Weights(r, 200, 0.3)
-	built := Build(buckets, weights)
-	if _, err := FromRaw(copyRaw(built.Raw()), buckets, weights, built.blo, built.bhi); err != nil {
-		t.Fatalf("FromRaw rejected a built tree: %v", err)
-	}
-	for _, c := range []struct {
-		name   string
-		mutate func(*Raw)
-	}{
-		{"bucket twice", func(raw *Raw) { raw.LeafIdx[1] = raw.LeafIdx[0] }},
-		{"subtree twice", func(raw *Raw) { raw.Right[0] = raw.Left[0] }},
-		{"bucket never", func(raw *Raw) {
-			for id := range raw.Left {
-				if raw.Left[id] < 0 && raw.LCnt[id] > 0 {
-					raw.LCnt[id]--
-					return
-				}
-			}
-		}},
-	} {
-		raw := copyRaw(built.Raw())
-		c.mutate(&raw)
-		if _, err := FromRaw(raw, buckets, weights, built.blo, built.bhi); err == nil {
-			t.Errorf("%s: FromRaw accepted the tree", c.name)
 		}
 	}
 }

@@ -214,12 +214,13 @@ func (m *Model) Accelerate() { m.accel.Ensure(m.Buckets, m.Weights) }
 
 // IndexTree returns the built BVH index, or nil if none has been built
 // yet. It never triggers a build; the binary snapshot writer uses it to
-// decide whether a tree section can be persisted.
+// decide whether to persist the tree's leaf order.
 func (m *Model) IndexTree() *bvh.Tree { return m.accel.Built() }
 
 // SeedIndex installs a prebuilt BVH as this model's index (winning only if
-// none exists yet), so a model loaded from a binary snapshot skips the
-// build entirely — the subsequent Accelerate is a no-op.
+// none exists yet): a binary snapshot load rebuilds the tree from its
+// stored leaf order, without the bucket sort, and seeds it here, so the
+// subsequent Accelerate is a no-op.
 func (m *Model) SeedIndex(t *bvh.Tree) { m.accel.Seed(t) }
 
 // WeightView implements core.Reweightable.

@@ -4,12 +4,15 @@ package modelio
 // interchange format; the binary snapshot is the replica cold-start
 // fast-path: a versioned container (magic + CRC + section table) whose
 // sections store the model's arrays in exactly the flat little-endian
-// layouts the estimator consumes, including the prebuilt BVH index.
-// Loading therefore decodes weights and bucket corners directly into the
-// structure-of-arrays buffers the tree walks read — on little-endian
-// machines as zero-copy views over the file bytes — and seeds the model's
-// index from the persisted tree, so core.Accelerate after LoadBinary
-// re-derives nothing: no bucket sort, no recursion, no weight sweep.
+// layouts the estimator consumes. Loading therefore decodes weights and
+// bucket corners directly into the structure-of-arrays buffers the tree
+// walks read — on little-endian machines as zero-copy views over the file
+// bytes. The BVH is derived state: a snapshot stores only its leaf order,
+// the one thing the bucket sort decides (the tree's shape follows from the
+// bucket count), and the load rebuilds the tree from that order, the
+// buckets and the weights with bvh.FromOrder, so core.Accelerate after
+// LoadBinary sorts nothing and no stored array can disagree with the
+// weights.
 //
 // Layout (all integers little-endian):
 //
@@ -22,13 +25,13 @@ package modelio
 // Section ids: BOXS (u32 dim | u32 zero | u64 count | count·dim f64 lo |
 // count·dim f64 hi), WGTS (u64 count | count f64), PNTS (like BOXS with
 // one coord block), GMMC (u32 dim | u32 zero | u64 count | means | sigmas),
-// BVHT (u32 dim | u32 zero | u64 nodes | u64 leafIdx len | nlo | nhi |
-// left | right | loff | lcnt | leafIdx | pad | invVols | wsums). Every
-// f64 block begins 8-byte aligned so loads can alias the file buffer.
-// CRC32 (IEEE) is checked per section and over the header before any
-// section is decoded; failures wrap ErrMalformed. Structural problems in
-// a persisted tree (cyclic links, out-of-range leaf windows) are caught
-// by bvh.FromRaw and wrap ErrInvalidModel.
+// ORDR (u64 count | count i32 bucket ids in leaf order). Id 5 is reserved:
+// older snapshots stored the tree's arrays there, and a load ignores it.
+// Every f64 block begins 8-byte aligned so loads can alias the file
+// buffer. CRC32 (IEEE) is checked per section and over the header before
+// any section is decoded; failures wrap ErrMalformed. A leaf order that is
+// not a permutation of the bucket ids is caught by bvh.FromOrder and wraps
+// ErrInvalidModel.
 
 import (
 	"bufio"
@@ -70,7 +73,8 @@ const (
 	secWgts  = 2 // model weights
 	secPts   = 3 // point coordinates (ptshist)
 	secGmm   = 4 // component means + sigmas (gaussmix)
-	secBVH   = 5 // prebuilt BVH structure arrays
+	secBVH   = 5 // reserved: older snapshots' BVH arrays, ignored on load
+	secOrder = 6 // the BVH's leaf order: bucket ids
 )
 
 // nativeLE reports whether this machine stores floats little-endian, the
@@ -146,8 +150,8 @@ func flatCorners(buckets []geom.Box) (lo, hi []float64, dim int) {
 
 // SaveBinary writes the model as a binary snapshot. The model is
 // accelerated first (core.Accelerate), so box-bucketed models at or above
-// the indexing threshold persist their BVH and replicas skip the build on
-// load.
+// the indexing threshold persist their BVH's leaf order and replicas skip
+// the sort on load.
 func SaveBinary(w io.Writer, m core.Model) error {
 	_, tag, ok := kindOf(m)
 	if !ok {
@@ -177,22 +181,9 @@ func SaveBinary(w io.Writer, m core.Model) error {
 			bw.f64s(t.Weights)
 		})
 		if tree := t.IndexTree(); tree != nil {
-			raw := tree.Raw()
-			bw.section(secBVH, func() {
-				bw.u32(uint32(raw.Dim))
-				bw.u32(0)
-				bw.u64(uint64(len(raw.Left)))
-				bw.u64(uint64(len(raw.LeafIdx)))
-				bw.f64s(raw.NLo)
-				bw.f64s(raw.NHi)
-				bw.i32s(raw.Left)
-				bw.i32s(raw.Right)
-				bw.i32s(raw.LOff)
-				bw.i32s(raw.LCnt)
-				bw.i32s(raw.LeafIdx)
-				bw.pad8()
-				bw.f64s(raw.InvVols)
-				bw.f64s(raw.WSums)
+			bw.section(secOrder, func() {
+				bw.u64(uint64(tree.Len()))
+				bw.i32s(tree.Order())
 			})
 		}
 	case *ptshist.Model:
@@ -258,9 +249,8 @@ func SaveBinary(w io.Writer, m core.Model) error {
 
 // binReader is a bounds-checked cursor over one section's bytes.
 type binReader struct {
-	b    []byte
-	base int // absolute offset of b[0] in the snapshot, for alignment
-	i    int
+	b []byte
+	i int
 }
 
 func (r *binReader) u32() (uint32, error) {
@@ -332,14 +322,6 @@ func (r *binReader) i32s(n int) ([]int32, error) {
 	return out, nil
 }
 
-func (r *binReader) pad8() {
-	abs := r.base + r.i
-	for abs%8 != 0 && r.i < len(r.b) {
-		abs++
-		r.i++
-	}
-}
-
 // boxViews builds []geom.Box whose corners alias windows of the flat
 // lo/hi arrays — the same aliasing the BVH builder's SoA layout uses.
 func boxViews(lo, hi []float64, m, d int) []geom.Box {
@@ -396,7 +378,7 @@ func LoadBinary(data []byte) (core.Model, error) {
 		if crc32.ChecksumIEEE(sec) != crc {
 			return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrMalformed, id)
 		}
-		secs[id] = &binReader{b: sec, base: int(off)}
+		secs[id] = &binReader{b: sec}
 	}
 
 	readWeights := func() ([]float64, error) {
@@ -416,7 +398,7 @@ func LoadBinary(data []byte) (core.Model, error) {
 	}
 
 	// readBoxes decodes BOXS into aliased buckets plus the flat corner
-	// arrays (handed to bvh.FromRaw so the tree shares them too).
+	// arrays (handed to bvh.FromOrder so the tree shares them too).
 	readBoxes := func() (buckets []geom.Box, lo, hi []float64, dim int, err error) {
 		r := secs[secBoxes]
 		if r == nil {
@@ -450,69 +432,27 @@ func LoadBinary(data []byte) (core.Model, error) {
 		return boxViews(lo, hi, m, d), lo, hi, d, nil
 	}
 
-	// readTree seeds a persisted BVH, validated by bvh.FromRaw.
-	readTree := func(hm *hist.Model, lo, hi []float64) error {
-		r := secs[secBVH]
+	// readOrder rebuilds the BVH over a persisted leaf order and seeds it.
+	// A snapshot without one (a model below the indexing threshold, or one
+	// whose tree sat in the reserved section) builds its index on demand.
+	readOrder := func(hm *hist.Model, lo, hi []float64) error {
+		r := secs[secOrder]
 		if r == nil {
-			return nil // snapshot of a below-threshold model: no index
+			return nil
 		}
-		var raw bvh.Raw
-		d32, err := r.u32()
+		n64, err := r.u64()
 		if err != nil {
 			return err
 		}
-		if _, err := r.u32(); err != nil {
-			return err
-		}
-		nodes64, err := r.u64()
+		n, err := r.count(n64, 4)
 		if err != nil {
 			return err
 		}
-		leaf64, err := r.u64()
+		order, err := r.i32s(n)
 		if err != nil {
 			return err
 		}
-		raw.Dim = int(d32)
-		// A tree over n buckets has at most 2n-1 nodes; each node costs
-		// at least 16 bytes of node-box coords here, which bounds the
-		// allocation by the section length.
-		nodes, err := r.count(nodes64, 16)
-		if err != nil {
-			return err
-		}
-		nleaf, err := r.count(leaf64, 4)
-		if err != nil {
-			return err
-		}
-		if raw.NLo, err = r.f64s(nodes * raw.Dim); err != nil {
-			return err
-		}
-		if raw.NHi, err = r.f64s(nodes * raw.Dim); err != nil {
-			return err
-		}
-		if raw.Left, err = r.i32s(nodes); err != nil {
-			return err
-		}
-		if raw.Right, err = r.i32s(nodes); err != nil {
-			return err
-		}
-		if raw.LOff, err = r.i32s(nodes); err != nil {
-			return err
-		}
-		if raw.LCnt, err = r.i32s(nodes); err != nil {
-			return err
-		}
-		if raw.LeafIdx, err = r.i32s(nleaf); err != nil {
-			return err
-		}
-		r.pad8()
-		if raw.InvVols, err = r.f64s(len(hm.Buckets)); err != nil {
-			return err
-		}
-		if raw.WSums, err = r.f64s(nodes); err != nil {
-			return err
-		}
-		t, err := bvh.FromRaw(raw, hm.Buckets, hm.Weights, lo, hi)
+		t, err := bvh.FromOrder(hm.Buckets, hm.Weights, lo, hi, order)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidModel, err)
 		}
@@ -536,7 +476,7 @@ func LoadBinary(data []byte) (core.Model, error) {
 		if err := validate(hm); err != nil {
 			return nil, err
 		}
-		if err := readTree(hm, lo, hi); err != nil {
+		if err := readOrder(hm, lo, hi); err != nil {
 			return nil, err
 		}
 		m = hm

@@ -7,6 +7,10 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -55,6 +59,27 @@ func randQueries(n int) []geom.Range {
 		out[i] = geom.Box{Lo: lo, Hi: geom.Point{lo[0] + 0.2*rng.Float64(), lo[1] + 0.2*rng.Float64()}}
 	}
 	return out
+}
+
+// hugeBucketModel holds the bucket [−1e200, 1e200]², whose volume is
+// +Inf: unchecked, it answers the halfspace x+y ≤ 0.5 with Inf/Inf = NaN.
+func hugeBucketModel() *hist.Model {
+	return &hist.Model{
+		Buckets: []geom.Box{
+			{Lo: geom.Point{-1e200, -1e200}, Hi: geom.Point{1e200, 1e200}},
+			{Lo: geom.Point{0, 0}, Hi: geom.Point{1, 1}},
+		},
+		Weights: []float64{0.5, 0.5},
+	}
+}
+
+// tinyBucketModel is gridModel(8), indexed, with bucket 0 shrunk to
+// [0, 1e-160]²: its volume 1e-320 has the inverse +Inf, so unchecked the
+// tree answers [1e-160−1e-170, 0.05]² with 0·Inf = NaN.
+func tinyBucketModel() *hist.Model {
+	m := gridModel(8)
+	m.Buckets[0] = geom.Box{Lo: geom.Point{0, 0}, Hi: geom.Point{1e-160, 1e-160}}
+	return m
 }
 
 // TestBinaryRoundTripEstimates saves and loads every model family and
@@ -114,8 +139,9 @@ func TestBinaryRoundTripEstimates(t *testing.T) {
 }
 
 // TestBinaryRejectsNonFinite: a snapshot whose checksums are valid but
-// whose model holds a NaN or infinite value must fail as an invalid model
-// rather than load and estimate NaN.
+// whose model holds a NaN or infinite value, or a bucket whose volume or
+// inverse volume is infinite, must fail as an invalid model rather than
+// load and estimate NaN.
 func TestBinaryRejectsNonFinite(t *testing.T) {
 	halves := func() []geom.Box {
 		return []geom.Box{
@@ -132,6 +158,8 @@ func TestBinaryRejectsNonFinite(t *testing.T) {
 		{"nan weight", &hist.Model{Buckets: halves(), Weights: []float64{1, math.NaN()}}},
 		{"inf weight", &hist.Model{Buckets: halves(), Weights: []float64{math.Inf(1), 0}}},
 		{"inf corner", &hist.Model{Buckets: infCorner, Weights: []float64{0.5, 0.5}}},
+		{"infinite volume", hugeBucketModel()},
+		{"uninvertible volume", tinyBucketModel()},
 		{"nan point", &ptshist.Model{
 			Points:  []geom.Point{{0.5, math.NaN()}},
 			Weights: []float64{1},
@@ -180,7 +208,9 @@ func TestBinaryLoadSeedsIndex(t *testing.T) {
 // corruption to be caught by a checksum or structural check — never a
 // panic, never a silently-wrong model.
 func TestBinaryCorruption(t *testing.T) {
-	data := snapshot(t, gridModel(16))
+	orig := gridModel(16)
+	data := snapshot(t, orig)
+	queries := randQueries(64)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		b := append([]byte(nil), data...)
@@ -190,9 +220,11 @@ func TestBinaryCorruption(t *testing.T) {
 		if err == nil {
 			// A flipped padding byte inside a section would change its
 			// CRC, so a successful load means the flip landed in dead
-			// header space; the model must still validate.
-			if verr := validate(m); verr != nil {
-				t.Fatalf("flip at %d: loaded invalid model: %v", pos, verr)
+			// header space; the model must answer as the original does.
+			for qi, q := range queries {
+				if a, b := orig.Estimate(q), m.Estimate(q); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("flip at %d loaded a model that answers query %d with %v, not %v", pos, qi, b, a)
+				}
 			}
 			continue
 		}
@@ -211,32 +243,116 @@ func TestBinaryCorruption(t *testing.T) {
 	})
 }
 
-// TestBinaryRejectsTreeReachingBucketTwice: a snapshot whose checksums
-// are all valid but whose tree reaches one bucket twice (leafIdx[1] =
-// leafIdx[0]) must fail as an invalid model, not load a tree that counts
-// that bucket's weight twice.
-func TestBinaryRejectsTreeReachingBucketTwice(t *testing.T) {
-	data := snapshot(t, gridModel(16))
+// withOrder rewrites the ORDR section of a snapshot in place through
+// edit, which gets the section's bytes (u64 count, then the ids), and
+// recomputes the checksums, so only the loader's own checks stand between
+// the forged order and a loaded tree.
+func withOrder(t *testing.T, data []byte, edit func(sec []byte)) []byte {
+	t.Helper()
+	data = append([]byte(nil), data...)
 	const maxSecs = 3
 	for i := 0; i < maxSecs; i++ {
 		e := data[16+32*i:]
-		if binary.LittleEndian.Uint32(e) != secBVH {
+		if binary.LittleEndian.Uint32(e) != secOrder {
 			continue
 		}
 		sec := data[binary.LittleEndian.Uint64(e[8:]):][:binary.LittleEndian.Uint64(e[16:])]
-		dim := int(binary.LittleEndian.Uint32(sec))
-		nodes := int(binary.LittleEndian.Uint64(sec[8:]))
-		leafIdx := sec[24+2*8*nodes*dim+4*4*nodes:]
-		copy(leafIdx[4:8], leafIdx[0:4])
+		edit(sec)
 		binary.LittleEndian.PutUint32(e[24:], crc32.ChecksumIEEE(sec))
 		crcOff := 16 + maxSecs*32
 		binary.LittleEndian.PutUint32(data[crcOff:], crc32.ChecksumIEEE(data[:crcOff]))
-		if _, err := LoadBinary(data); !errors.Is(err, ErrInvalidModel) {
-			t.Fatalf("LoadBinary = %v, want ErrInvalidModel", err)
-		}
-		return
+		return data
 	}
-	t.Fatal("snapshot has no BVH section")
+	t.Fatal("snapshot has no leaf-order section")
+	return nil
+}
+
+// TestBinaryRejectsBadOrder: a snapshot whose checksums are all valid but
+// whose leaf order is no permutation of the bucket ids must fail as an
+// invalid model, not load a tree that counts a bucket twice or never; a
+// count the section cannot hold is malformed.
+func TestBinaryRejectsBadOrder(t *testing.T) {
+	data := snapshot(t, gridModel(16))
+	id := func(sec []byte, k int) []byte { return sec[8+4*k:] }
+	for _, c := range []struct {
+		name string
+		edit func(sec []byte)
+		want error
+	}{
+		{"id twice", func(sec []byte) { copy(id(sec, 1)[:4], id(sec, 0)[:4]) }, ErrInvalidModel},
+		{"id out of range", func(sec []byte) { binary.LittleEndian.PutUint32(id(sec, 3), 256) }, ErrInvalidModel},
+		{"negative id", func(sec []byte) { binary.LittleEndian.PutUint32(id(sec, 3), math.MaxUint32) }, ErrInvalidModel},
+		{"short order", func(sec []byte) { binary.LittleEndian.PutUint64(sec, 255) }, ErrInvalidModel},
+		{"count past the section", func(sec []byte) { binary.LittleEndian.PutUint64(sec, 257) }, ErrMalformed},
+	} {
+		if _, err := LoadBinary(withOrder(t, data, c.edit)); !errors.Is(err, c.want) {
+			t.Errorf("%s: LoadBinary = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// readBits parses a fixture of one hex float64 bit pattern per line.
+func readBits(t *testing.T, path string) []uint64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []uint64
+	for _, line := range strings.Fields(string(raw)) {
+		v, err := strconv.ParseUint(line, 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestLoadsTreeArraySnapshots: snapshots written while the format stored
+// the BVH's arrays in section 5 still load. testdata/grid32.snap is
+// gridModel(32) and grid32.bits its answers to randQueries(200), both
+// written by that format's SaveBinary; testdata/grid16_nanroot.snap is
+// gridModel(16) from the same writer with its root subtree sum set to NaN
+// and the checksums recomputed — that format loaded it and answered the
+// unit square with NaN. The reserved section is ignored, so the tree is
+// built from the buckets and weights and the answers keep their bits.
+func TestLoadsTreeArraySnapshots(t *testing.T) {
+	load := func(name string) *hist.Model {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadAnyBytes(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hm := m.(*hist.Model)
+		if hm.IndexTree() != nil {
+			t.Fatalf("%s: index seeded from the reserved section", name)
+		}
+		return hm
+	}
+
+	want := readBits(t, filepath.Join("testdata", "grid32.bits"))
+	if len(want) != 200 {
+		t.Fatalf("grid32.bits holds %d answers, want 200", len(want))
+	}
+	grid32 := load("grid32.snap")
+	for qi, q := range randQueries(200) {
+		if got := math.Float64bits(grid32.Estimate(q)); got != want[qi] {
+			t.Fatalf("grid32 query %d: %#x, saved %#x", qi, got, want[qi])
+		}
+	}
+
+	forged, ref := load("grid16_nanroot.snap"), gridModel(16)
+	queries := append(randQueries(200), geom.UnitCube(2))
+	for qi, q := range queries {
+		if a, b := ref.Estimate(q), forged.Estimate(q); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("forged-tree snapshot answers query %d with %v, gridModel(16) with %v", qi, b, a)
+		}
+	}
 }
 
 // TestLoadAnySniffsFormat checks both formats load through LoadAny.

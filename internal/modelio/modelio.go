@@ -135,10 +135,15 @@ func Load(r io.Reader) (core.Model, error) {
 	return m, nil
 }
 
+// cornerSlack is how far a bucket corner may lie outside the unit cube:
+// QuickSel's sub-boxes can overshoot their parent box by an ulp.
+const cornerSlack = 1e-9
+
 // validate performs structural sanity checks so a corrupted file fails at
 // load time rather than at estimation time: every weight, corner, point and
-// mean is finite, bucket corners are not inverted, and the weights form a
-// distribution.
+// mean is finite, bucket corners are not inverted and lie in the unit cube,
+// every bucket's volume is zero or has a finite inverse, and the weights
+// form a distribution.
 func validate(m core.Model) error {
 	checkWeights := func(n int, w []float64) error {
 		if len(w) != n {
@@ -162,8 +167,8 @@ func validate(m core.Model) error {
 	switch t := m.(type) {
 	case *hist.Model:
 		for _, b := range t.Buckets {
-			if len(b.Lo) != len(t.Buckets[0].Lo) || len(b.Hi) != len(b.Lo) {
-				return fmt.Errorf("%w: bucket corners of mixed dimension", ErrInvalidModel)
+			if len(b.Lo) == 0 || len(b.Lo) != len(t.Buckets[0].Lo) || len(b.Hi) != len(b.Lo) {
+				return fmt.Errorf("%w: bucket corners of zero or mixed dimension", ErrInvalidModel)
 			}
 			if err := checkFinite("bucket corner", b.Lo); err != nil {
 				return err
@@ -175,11 +180,22 @@ func validate(m core.Model) error {
 				if b.Lo[i] > b.Hi[i] {
 					return fmt.Errorf("%w: inverted bucket %v", ErrInvalidModel, b)
 				}
+				if b.Lo[i] < -cornerSlack || b.Hi[i] > 1+cornerSlack {
+					return fmt.Errorf("%w: bucket %v outside the unit cube", ErrInvalidModel, b)
+				}
+			}
+			// The estimator scales by the inverse volume: an infinite one
+			// turns 0·Inf into NaN.
+			if v := b.Volume(); v > 0 && math.IsInf(1/v, 1) {
+				return fmt.Errorf("%w: bucket %v has volume %v, too small to invert", ErrInvalidModel, b, v)
 			}
 		}
 		return checkWeights(len(t.Buckets), t.Weights)
 	case *ptshist.Model:
 		for _, p := range t.Points {
+			if len(p) != len(t.Points[0]) {
+				return fmt.Errorf("%w: points of mixed dimension", ErrInvalidModel)
+			}
 			if err := checkFinite("point", p); err != nil {
 				return err
 			}
@@ -190,6 +206,9 @@ func validate(m core.Model) error {
 			return err
 		}
 		for _, c := range t.Components {
+			if len(c.Mean) != len(t.Components[0].Mean) {
+				return fmt.Errorf("%w: component means of mixed dimension", ErrInvalidModel)
+			}
 			if err := checkFinite("component mean", c.Mean); err != nil {
 				return err
 			}

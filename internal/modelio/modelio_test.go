@@ -104,10 +104,30 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		{"bad sigma", `{"version":1,"type":"gaussmix","payload":{"Components":[{"Mean":[0.5],"Sigma":0}],"Weights":[1]}}`},
 		{"inverted bucket", `{"version":1,"type":"quadhist","payload":{"Buckets":[{"Lo":[0.6,0.6],"Hi":[0.4,0.4]}],"Weights":[1]}}`},
 		{"ragged bucket", `{"version":1,"type":"quicksel","payload":{"Buckets":[{"Lo":[0.1],"Hi":[0.4,0.4]}],"Weights":[1]}}`},
+		{"zero-dimension bucket", `{"version":1,"type":"quadhist","payload":{"Buckets":[{"Lo":[],"Hi":[]}],"Weights":[1]}}`},
+		{"ragged points", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5],[0.1,0.2]],"Weights":[0.5,0.5]}}`},
+		{"ragged means", `{"version":1,"type":"gaussmix","payload":{"Components":[{"Mean":[0.5],"Sigma":0.1},{"Mean":[0.5,0.5],"Sigma":0.1}],"Weights":[0.5,0.5]}}`},
 	}
 	for _, c := range cases {
 		if _, err := Load(strings.NewReader(c.input)); err == nil {
 			t.Fatalf("%s: accepted", c.name)
+		}
+	}
+	// Buckets the estimator cannot evaluate: an infinite volume and an
+	// infinite inverse volume.
+	for _, c := range []struct {
+		name string
+		m    *hist.Model
+	}{
+		{"bucket outside the unit cube", hugeBucketModel()},
+		{"uninvertible volume", tinyBucketModel()},
+	} {
+		var buf bytes.Buffer
+		if err := Save(&buf, c.m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); !errors.Is(err, ErrInvalidModel) {
+			t.Fatalf("%s: Load = %v, want ErrInvalidModel", c.name, err)
 		}
 	}
 }

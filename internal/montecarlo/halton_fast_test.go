@@ -80,7 +80,12 @@ func TestVolumeNoAllocsSteadyState(t *testing.T) {
 	hi := []float64{1, 1, 1}
 	inside := func(p []float64) bool { return p[0]+p[1]+p[2] <= 1 }
 	Volume(lo, hi, 4096, inside) // warm the pool
-	if avg := testing.AllocsPerRun(20, func() { Volume(lo, hi, 4096, inside) }); avg > 1 {
+	avg := testing.AllocsPerRun(20, func() { Volume(lo, hi, 4096, inside) })
+	if raceEnabled {
+		t.Logf("Volume allocates %v per call under -race; the ≤1 gate runs without it", avg)
+		return
+	}
+	if avg > 1 {
 		t.Fatalf("Volume allocates %v per call in steady state, want ≤1", avg)
 	}
 }

@@ -15,29 +15,36 @@ import (
 // registries holding the same values render byte-identical pages
 // regardless of registration or observation order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Registration may add a family or a series at any time, so both maps
+	// are read under the lock; rendering and writing happen outside it.
 	r.mu.RLock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
-	fams := make([]*family, 0, len(names))
 	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, r.families[name])
-	}
-	r.mu.RUnlock()
-
-	ew := &errWriter{w: w}
-	for _, f := range fams {
-		ew.printf("# HELP %s %s\n", f.name, escapeHelp(f.help))
-		ew.printf("# TYPE %s %s\n", f.name, f.kind)
+	fams := make([]*family, len(names))
+	rows := make([][]*series, len(names))
+	for i, name := range names {
+		f := r.families[name]
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		for _, k := range keys {
-			writeSeries(ew, f, f.series[k])
+		fams[i], rows[i] = f, make([]*series, len(keys))
+		for j, k := range keys {
+			rows[i][j] = f.series[k]
+		}
+	}
+	r.mu.RUnlock()
+
+	ew := &errWriter{w: w}
+	for i, f := range fams {
+		ew.printf("# HELP %s %s\n", f.name, escapeHelp(f.help))
+		ew.printf("# TYPE %s %s\n", f.name, f.kind)
+		for _, s := range rows[i] {
+			writeSeries(ew, f, s)
 		}
 	}
 	return ew.err

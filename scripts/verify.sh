@@ -88,9 +88,10 @@ go test -run 'TestEstimateHandlerZeroAlloc' -count=1 ./internal/serve
 # and model hot-swaps; the BVH Reweight path gets the same treatment since
 # streaming estimates read trees that online learning republishes. The
 # packed 2-D box walk must keep estimateBox's exact bits on built, loaded
-# and reweighted trees.
+# and reweighted trees, and a tree rebuilt from Build's leaf order (the
+# snapshot load path) must equal Build's array for array.
 go test -race -run 'TestEstimateStreamConcurrentWithSwaps' -count=1 ./internal/serve
-go test -race -run 'TestReweightConcurrentNoTear|TestPropertyWalk2MatchesEstimateBoxBits' -count=1 ./internal/bvh
+go test -race -run 'TestReweightConcurrentNoTear|TestPropertyWalk2MatchesEstimateBoxBits|TestPropertyFromOrderMatchesBuild' -count=1 ./internal/bvh
 # Observability zero-cost gate: the disabled span path must stay at
 # 0 allocs/op (TestObsDisabledAllocs fails the suite otherwise; the
 # benchmark arm here keeps the ns/op number visible in verify output).
@@ -107,13 +108,19 @@ go test -run 'TestObsDisabledAllocs' -bench 'BenchmarkObsDisabled/' -benchtime 1
 # dimension-changing upload.
 go test -race -count=1 ./internal/wirebin
 go test -run 'FuzzDecodeRequest' -count=1 ./internal/wirebin
+# The model loaders' seed corpus (both formats, truncations and a
+# checksum-valid snapshot with a forged tree): typed errors only, and a
+# model that loads answers in [0,1] and as its own buckets and weights say.
+go test -run 'FuzzLoadAnyBytes' -count=1 ./internal/modelio
 go test -race -run 'TestBinJSONEquivalence|TestBinConcurrentSwaps|TestRetrainSurvivesDimensionFaults' -count=1 ./internal/serve
 go test -run 'TestBinFrameZeroAlloc' -count=1 ./internal/serve
 # Binary snapshot gates: load must seed the BVH (no rebuild on
 # Accelerate) and corrupted/truncated snapshots must fail typed, including
-# a checksum-valid tree that reaches a bucket twice and a checksum-valid
-# model holding a NaN or infinite value.
-go test -run 'TestBinaryRoundTripEstimates|TestBinaryLoadSeedsIndex|TestBinaryCorruption|TestBinaryRejectsTreeReachingBucketTwice|TestBinaryRejectsNonFinite' -count=1 ./internal/modelio
+# a checksum-valid leaf order that is no permutation of the bucket ids and
+# a checksum-valid model holding a NaN or infinite value or a bucket the
+# estimator cannot evaluate; snapshots that stored the tree's arrays still
+# load, with the answers their buckets and weights give.
+go test -run 'TestBinaryRoundTripEstimates|TestBinaryLoadSeedsIndex|TestBinaryCorruption|TestBinaryRejectsBadOrder|TestBinaryRejectsNonFinite|TestLoadsTreeArraySnapshots|TestLoadRejectsCorruption' -count=1 ./internal/modelio
 # Load-harness gates (DESIGN.md §16). First the library contracts: the
 # open-loop schedule must be byte-identical across worker counts and the
 # shared latency reporter must render the same bytes at any fill
