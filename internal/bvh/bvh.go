@@ -8,8 +8,13 @@
 // subtrees are skipped entirely; only buckets straddling the query
 // boundary are evaluated individually. For the quadtree-partition models
 // of this repository that reduces per-query work from O(m) to roughly
-// O(√m) in 2D (the boundary buckets), which the prediction-time experiment
-// (ext_predtime) measures.
+// O(√m) in 2D (the boundary buckets).
+//
+// A 2-D tree whose buckets draw a small grid also carries the histogram's
+// CDF at the grid's corners (a prefix-mass table), and answers a box
+// query from it with four bilinear lookups, in O(log m) however many
+// buckets the box cuts; the prediction-time experiment (ext_predtime)
+// measures both.
 //
 // The same structure serves any model whose buckets are boxes with
 // nonnegative weights — QUADHIST, ISOMER and QUICKSEL alike (overlapping
@@ -18,6 +23,7 @@ package bvh
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,9 +51,9 @@ const maxLeafSize = 8
 // fast path (internal/online) publishes one such structurally-shared tree
 // per feedback update.
 //
-// A 2-D tree also carries packed records for the box walk (see node2):
-// one per node and one per nonzero-weight bucket, derived from the arrays
-// and weights by pack2 whenever a tree is built, loaded or reweighted.
+// A 2-D tree may also carry a prefix-mass table for box queries (see
+// prefix2), computed from the buckets and weights whenever a tree is
+// built, loaded or reweighted.
 type Tree struct {
 	dim int
 	// Node arrays, indexed by node id. Ids are assigned in build order
@@ -68,26 +74,8 @@ type Tree struct {
 	invVols []float64
 	wsums   []float64 // subtree weight sums, indexed by node id
 
-	// The 2-D box walk's records; nil unless dim is 2.
-	nodes2   []node2   // indexed by node id
-	buckets2 []bucket2 // nonzero-weight buckets in leaf order
-}
-
-// node2 is one node of a 2-D tree packed for the box walk: bounding box,
-// subtree weight sum, links and leaf window in one 56-byte record, so a
-// visit reads one record instead of five to seven arrays.
-type node2 struct {
-	lo0, lo1, hi0, hi1 float64
-	wsum               float64
-	left, right        int32 // child node ids, -1 at leaves
-	off, cnt           int32 // a leaf's window into the bucket records
-}
-
-// bucket2 is one nonzero-weight bucket of a 2-D tree packed for the box
-// walk: corners, weight and inverse volume in one 48-byte record.
-type bucket2 struct {
-	lo0, lo1, hi0, hi1 float64
-	w, invVol          float64
+	// The 2-D box queries' table; empty unless it serves this tree.
+	tab prefix2
 }
 
 // Build constructs a BVH over the buckets with the given weights: it sorts
@@ -117,7 +105,7 @@ func Build(buckets []geom.Box, weights []float64) *Tree {
 
 // FromOrder rebuilds the tree Build made over these buckets from its leaf
 // order (Tree.Order) alone, so a snapshot need store nothing else: node
-// boxes, subtree sums, inverse volumes and the 2-D records are derived
+// boxes, subtree sums, inverse volumes and the 2-D table are derived
 // from the buckets and weights exactly as Build derives them. blo and bhi
 // hold the bucket corners flattened (bucket j's at j·dim). It fails
 // unless order is a permutation of the bucket ids. All slices are
@@ -218,7 +206,7 @@ func newTree(buckets []geom.Box, weights []float64, blo, bhi []float64, order []
 		}
 		t.wsums[id] = t.nodeSum(id)
 	}
-	t.nodes2, t.buckets2 = pack2(t)
+	t.tab = newPrefix2(t)
 	return t
 }
 
@@ -275,11 +263,12 @@ func (t *Tree) build(off, n int32) int32 {
 // Reweight returns a tree over the same buckets with a new weight vector:
 // every structure array — node boxes, child links, leaf windows, bucket
 // geometry, and inverse volumes — is shared with the receiver (they are
-// immutable), while the weights and the per-node sums are recomputed. Cost
-// is one O(m) pass — no sorting, no tree building — which is what makes
-// copy-on-write weight publication cheap enough for the per-feedback
-// online update path. w is captured, not copied; callers must not mutate
-// it afterward.
+// immutable), while the weights, the per-node sums and the 2-D table are
+// computed afresh from w; the receiver's table is never patched. Cost is
+// O(m) plus the table's grid — no sorting of buckets, no tree building —
+// which is what makes copy-on-write weight publication cheap enough for
+// the per-feedback online update path. w is captured, not copied; callers
+// must not mutate it afterward.
 func (t *Tree) Reweight(w []float64) *Tree {
 	if len(w) != len(t.buckets) {
 		panic("bvh: Reweight weight count mismatch")
@@ -303,7 +292,7 @@ func (t *Tree) Reweight(w []float64) *Tree {
 		nt.wsums = make([]float64, n)
 		nt.sumWeights()
 	}
-	nt.nodes2, nt.buckets2 = pack2(nt)
+	nt.tab = newPrefix2(nt)
 	return nt
 }
 
@@ -345,8 +334,9 @@ func (t *Tree) Order() []int32 { return t.leafIdx }
 
 // Estimate returns Σⱼ vol(Bⱼ∩R)/vol(Bⱼ)·wⱼ over all indexed buckets,
 // clamped to [0,1]. Box queries (by value or pointer — the serving wire
-// path passes pooled *geom.Box) take the specialized coordinate walk; all
-// other range classes go through the generic classifier.
+// path passes pooled *geom.Box) take the 2-D table when the tree has one
+// and the specialized coordinate walk otherwise; all other range classes
+// go through the generic classifier.
 func (t *Tree) Estimate(r geom.Range) float64 {
 	if t.numNodes() == 0 {
 		return 0
@@ -369,96 +359,22 @@ func (t *Tree) Estimate(r geom.Range) float64 {
 	return s
 }
 
-// boxSum is the unclamped box-query sum: the packed walk when both the tree
-// and the query are 2-D, the generic coordinate walk otherwise.
+// boxSum is the unclamped box-query sum: the table's when the tree has one
+// and the query is 2-D without a NaN coordinate, the coordinate walk's
+// otherwise. A box inverted on either axis holds no mass; the walk finds
+// the same, since no bucket can lie inside it.
 func (t *Tree) boxSum(lo, hi geom.Point) float64 {
-	if t.nodes2 != nil && len(lo) == 2 && len(hi) == 2 {
-		return estimateBox2(t.nodes2, t.buckets2, 0, lo[0], lo[1], hi[0], hi[1])
+	if t.tab.mass != nil && len(lo) == 2 && len(hi) == 2 {
+		x1, y1, x2, y2 := lo[0], lo[1], hi[0], hi[1]
+		switch {
+		case math.IsNaN(x1) || math.IsNaN(y1) || math.IsNaN(x2) || math.IsNaN(y2):
+		case x1 > x2 || y1 > y2:
+			return 0
+		default:
+			return t.tab.boxMass(x1, y1, x2, y2)
+		}
 	}
 	return t.estimateBox(0, lo, hi)
-}
-
-// estimateBox2 is estimateBox unrolled for two dimensions over the packed
-// records, with the query's corners passed in registers. It makes the same
-// comparisons, in the same negated forms (so NaN coordinates classify
-// alike), and the same additions in the same order: bucket records keep
-// leaf order and omit only the zero-weight buckets estimateBox skips, and
-// the intersection volume 1·side₀·side₁ of the generic loop equals
-// side₀·side₁ exactly. Every estimate therefore keeps its bits.
-func estimateBox2(ns []node2, bs []bucket2, id int32, lo0, lo1, hi0, hi1 float64) float64 {
-	n := &ns[id]
-	if n.wsum == 0 {
-		return 0
-	}
-	if lo0 > n.hi0 || n.lo0 > hi0 || lo1 > n.hi1 || n.lo1 > hi1 {
-		return 0 // disjoint
-	}
-	if !(n.lo0 < lo0 || n.hi0 > hi0 || n.lo1 < lo1 || n.hi1 > hi1) {
-		return n.wsum // contained
-	}
-	if n.left >= 0 {
-		return estimateBox2(ns, bs, n.left, lo0, lo1, hi0, hi1) + estimateBox2(ns, bs, n.right, lo0, lo1, hi0, hi1)
-	}
-	s := 0.0
-	leaf := bs[n.off : n.off+n.cnt]
-	for i := range leaf {
-		b := &leaf[i]
-		if lo0 > b.hi0 || b.lo0 > hi0 || lo1 > b.hi1 || b.lo1 > hi1 {
-			continue
-		}
-		if !(b.lo0 < lo0 || b.hi0 > hi0 || b.lo1 < lo1 || b.hi1 > hi1) {
-			s += b.w
-			continue
-		}
-		side0 := min(b.hi0, hi0) - max(b.lo0, lo0)
-		side1 := min(b.hi1, hi1) - max(b.lo1, lo1)
-		if side0 <= 0 || side1 <= 0 || b.invVol == 0 {
-			continue
-		}
-		s += side0 * side1 * b.invVol * b.w
-	}
-	return s
-}
-
-// pack2 derives the 2-D box walk's records from a tree's arrays, subtree
-// sums and weights, or returns nil for other dimensions. Every bucket sits
-// in exactly one leaf (the leaf order is a permutation), so counting the
-// nonzero weights first sizes the bucket records exactly.
-func pack2(t *Tree) ([]node2, []bucket2) {
-	n := t.numNodes()
-	if t.dim != 2 || n == 0 {
-		return nil, nil
-	}
-	nonzero := 0
-	for _, w := range t.weights {
-		if w != 0 {
-			nonzero++
-		}
-	}
-	ns := make([]node2, n)
-	bs := make([]bucket2, 0, nonzero)
-	for id := range ns {
-		nd := &ns[id]
-		nd.lo0, nd.lo1 = t.nlo[2*id], t.nlo[2*id+1]
-		nd.hi0, nd.hi1 = t.nhi[2*id], t.nhi[2*id+1]
-		nd.wsum = t.wsums[id]
-		nd.left, nd.right = t.left[id], t.right[id]
-		if nd.left >= 0 {
-			continue
-		}
-		nd.off = int32(len(bs))
-		for _, j := range t.leafIdx[t.loff[id] : t.loff[id]+t.lcnt[id]] {
-			if w := t.weights[j]; w != 0 {
-				bs = append(bs, bucket2{
-					lo0: t.blo[2*j], lo1: t.blo[2*j+1],
-					hi0: t.bhi[2*j], hi1: t.bhi[2*j+1],
-					w: w, invVol: t.invVols[j],
-				})
-			}
-		}
-		nd.cnt = int32(len(bs)) - nd.off
-	}
-	return ns, bs
 }
 
 // estimateBox is the box-query walk: node and bucket classification are

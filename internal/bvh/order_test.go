@@ -38,26 +38,45 @@ func orderBuckets(r *rng.RNG, m, d int, grid bool) []geom.Box {
 
 // Property: FromOrder over Build's leaf order reproduces Build's tree
 // exactly — node boxes, links, leaf windows, inverse volumes, subtree sums
-// and the packed 2-D records — for every dimension and bucket count,
-// including an empty tree, a single leaf, the first split and the
-// indexing threshold.
+// and the 2-D table — for every dimension and bucket count, including an
+// empty tree, a single leaf, the first split and the indexing threshold.
+// A 2-D tree the table can serve carries one; no other tree does. On the
+// 1/4 grid, 2-D trees are also built with their zero-volume buckets at
+// zero weight, which the table serves.
 func TestPropertyFromOrderMatchesBuild(t *testing.T) {
 	r := rng.New(1907)
+	tables := 0
 	for _, d := range []int{1, 2, 3, 5} {
 		for _, m := range []int{0, 1, 8, 9, 63, 64, 1000, 4097} {
 			for _, grid := range []bool{false, true} {
 				buckets := orderBuckets(r, m, d, grid)
-				weights := walk2Weights(r, m, 0.3)
-				built := Build(buckets, weights)
-				loaded := fromOrder(t, built, buckets, weights)
-				if !reflect.DeepEqual(built, loaded) {
-					t.Fatalf("d=%d m=%d grid=%v: FromOrder over Build's order made a different tree", d, m, grid)
+				weightSets := [][]float64{sparseWeights(r, m, 0.3)}
+				if d == 2 && grid {
+					w := sparseWeights(r, m, 0.3)
+					for j, b := range buckets {
+						if b.Volume() == 0 {
+							w[j] = 0
+						}
+					}
+					weightSets = append(weightSets, w)
 				}
-				if m > 0 && (d == 2) != (loaded.nodes2 != nil) {
-					t.Fatalf("d=%d m=%d: packed records present = %v", d, m, loaded.nodes2 != nil)
+				for _, weights := range weightSets {
+					built := Build(buckets, weights)
+					loaded := fromOrder(t, built, buckets, weights)
+					if !reflect.DeepEqual(built, loaded) {
+						t.Fatalf("d=%d m=%d grid=%v: FromOrder over Build's order made a different tree", d, m, grid)
+					}
+					if has := loaded.tab.mass != nil; has != servesTable(buckets, weights) {
+						t.Fatalf("d=%d m=%d grid=%v: tree carries a table = %v", d, m, grid, has)
+					} else if has {
+						tables++
+					}
 				}
 			}
 		}
+	}
+	if tables == 0 {
+		t.Fatal("no tree carried a table")
 	}
 }
 
@@ -67,8 +86,8 @@ func TestPropertyFromOrderMatchesBuild(t *testing.T) {
 func TestFromOrderRejectsBadOrder(t *testing.T) {
 	r := rng.New(12)
 	const m = 200
-	buckets := walk2Buckets(r, m, false)
-	weights := walk2Weights(r, m, 0.3)
+	buckets := randomBoxes2(r, m, false)
+	weights := sparseWeights(r, m, 0.3)
 	built := Build(buckets, weights)
 	fromOrder(t, built, buckets, weights)
 	for _, c := range []struct {

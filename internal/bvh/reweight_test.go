@@ -21,13 +21,47 @@ func randomQueryBox(r *rng.RNG, d int) geom.Box {
 	return geom.Box{Lo: lo, Hi: hi}
 }
 
+// gridBuckets partitions [0,1]² into k×k equal cells with random
+// weights, about a third of them exactly zero: a model the 2-D table
+// serves, unlike randomBuckets' overlapping boxes.
+func gridBuckets(r *rng.RNG, k int) ([]geom.Box, []float64) {
+	buckets := make([]geom.Box, 0, k*k)
+	weights := make([]float64, 0, k*k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			buckets = append(buckets, geom.NewBox(
+				geom.Point{float64(i) / float64(k), float64(j) / float64(k)},
+				geom.Point{float64(i+1) / float64(k), float64(j+1) / float64(k)}))
+			w := 0.0
+			if r.IntN(3) > 0 {
+				w = r.Float64() / float64(k*k)
+			}
+			weights = append(weights, w)
+		}
+	}
+	return buckets, weights
+}
+
 // TestReweightMatchesRebuild: a reweighted tree must produce exactly the
 // estimates of a tree built from scratch over the new weights — the sums
-// are recomputed in the same post-order, so the comparison is exact.
+// and the 2-D table are recomputed from the weights alone, so the
+// comparison is exact — and must leave the original tree's answers alone.
 func TestReweightMatchesRebuild(t *testing.T) {
 	r := rng.New(91)
+	type input struct {
+		buckets []geom.Box
+		w0      []float64
+	}
+	var inputs []input
 	for _, n := range []int{80, 400, 2000} {
 		buckets, w0 := randomBuckets(r, n, 2)
+		inputs = append(inputs, input{buckets, w0})
+	}
+	grid, gw := gridBuckets(r, 40)
+	inputs = append(inputs, input{grid, gw})
+	for _, in := range inputs {
+		buckets, w0 := in.buckets, in.w0
+		n := len(buckets)
 		tree := bvh.Build(buckets, w0)
 
 		w1 := make([]float64, n)

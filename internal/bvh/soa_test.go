@@ -62,10 +62,22 @@ func TestPointerQueriesMatchValueQueries(t *testing.T) {
 // torn read (estimate mixing two weight versions) produces a value
 // outside the published set. Run under -race (scripts/verify.sh does) to
 // also prove memory-model cleanliness of the shared structure arrays.
+// The grid model's trees answer from their 2-D prefix-mass tables, the
+// random buckets' trees from the walk.
 func TestReweightConcurrentNoTear(t *testing.T) {
 	r := rng.New(41)
-	const m = 512
-	buckets, w0 := randomBuckets(r, m, 2)
+	random, rw := randomBuckets(r, 512, 2)
+	grid, gw := gridBuckets(r, 24)
+	for _, in := range []struct {
+		buckets []geom.Box
+		w0      []float64
+	}{{random, rw}, {grid, gw}} {
+		reweightNoTear(t, r, in.buckets, in.w0)
+	}
+}
+
+func reweightNoTear(t *testing.T, r *rng.RNG, buckets []geom.Box, w0 []float64) {
+	m := len(buckets)
 	base := bvh.Build(buckets, w0)
 
 	// Precompute K weight versions and each version's expected estimate

@@ -33,10 +33,15 @@ type LabeledQuery struct {
 // Implementations must not reseed generators or otherwise mutate
 // observable receiver state inside Estimate/NumBuckets. The one sanctioned
 // exception is an internally synchronized, build-exactly-once acceleration
-// index (sync.Once) whose presence never changes results beyond float
-// summation order — the BVH of the box-bucketed models. All model types in
-// this repository satisfy the contract; internal/core's race test hammers
-// them under the race detector.
+// index (sync.Once) — the BVH of the box-bucketed models. The index may
+// answer by another exact formula than the flat kernel (a different float
+// summation order, or the 2-D prefix-mass table's CDF differences), so its
+// answers agree with the flat kernel's within 1e-9, not bit for bit; but
+// it is a pure function of the buckets and weights, so the same buckets
+// and weights always get the same bits, however the index was built,
+// loaded or reweighted. All model types in this repository satisfy the
+// contract; internal/core's race test hammers them under the race
+// detector.
 type Model interface {
 	// Estimate returns the predicted selectivity of the query range,
 	// always in [0,1].

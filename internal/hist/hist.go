@@ -94,8 +94,11 @@ const (
 // Estimate is BVH-accelerated: at bvh.IndexThreshold buckets and above, a
 // lazily-built, immutably-shared tree prunes disjoint subtrees and adds
 // cached weight sums for contained ones, so large models answer in
-// roughly O(√m) instead of O(m). Buckets and Weights must not be mutated
-// after the first Estimate/Accelerate call.
+// roughly O(√m) instead of O(m). A 2-D model whose buckets draw a small
+// grid — QUADHIST's partitions, and ISOMER's at small training sizes, but
+// never QUICKSEL's overlapping boxes — answers box queries from the tree's
+// prefix-mass table instead, in O(log m). Buckets and Weights must not be
+// mutated after the first Estimate/Accelerate call.
 type Model struct {
 	Buckets []geom.Box
 	Weights []float64
@@ -229,8 +232,8 @@ func (m *Model) WeightView() ([]geom.Box, []float64) { return m.Buckets, m.Weigh
 // WithWeights implements core.Reweightable: the returned model shares the
 // receiver's buckets and family, and when the receiver's BVH is built the
 // new model is seeded with a reweighted tree (shared node structure, fresh
-// subtree sums) — so publishing an online weight update costs one O(m)
-// pass, not an index rebuild.
+// subtree sums and 2-D table) — so publishing an online weight update
+// costs an O(m) pass plus the table's grid, not an index rebuild.
 func (m *Model) WithWeights(w []float64) core.Model {
 	if len(w) != len(m.Buckets) {
 		panic("hist: WithWeights weight count mismatch")

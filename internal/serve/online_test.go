@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/hist"
+	"repro/internal/modelio"
 	"repro/internal/online"
 	"repro/internal/rng"
 )
@@ -168,6 +169,48 @@ func TestOnlineRebuildAfterSwap(t *testing.T) {
 	h2 := m2.(*hist.Model)
 	if &hm.Buckets[0] != &h2.Buckets[0] {
 		t.Fatal("online update after swap did not rebuild from the new model")
+	}
+}
+
+// TestOnlineServedMatchesDownload: after a few hundred online folds, the
+// served model — its index reweighted once per publish — and the same
+// model downloaded from GET /v1/models/default and loaded afresh answer 64
+// random boxes with the same bits. The trained 2-D QUADHIST is a
+// partition the BVH's prefix-mass table serves, and the table is a pure
+// function of the buckets and weights, so a publish that patched the
+// previous tree's table instead of computing its own would show here.
+func TestOnlineServedMatchesDownload(t *testing.T) {
+	s, _ := onlineServer(t, Options{EstimateCacheSize: -1})
+	for _, z := range feedbackStream(2203, 300) {
+		s.online.ingest(DefaultModelName, []core.LabeledQuery{z})
+	}
+	entry, _ := s.registry.Get(DefaultModelName)
+	if entry.Source != "online" || entry.Generation < 100 {
+		t.Fatalf("entry source=%q gen=%d, want a few hundred online publishes", entry.Source, entry.Generation)
+	}
+	served := entry.Model.(*hist.Model)
+	if served.IndexTree() == nil {
+		t.Fatal("served model carries no index")
+	}
+
+	req := httptest.NewRequest(http.MethodGet, "/v1/models/default", nil)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("download: HTTP %d", w.Code)
+	}
+	loaded, err := modelio.LoadAny(w.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(2204)
+	for qi := 0; qi < 64; qi++ {
+		lo := geom.Point{r.Float64() * 0.8, r.Float64() * 0.8}
+		q := geom.Box{Lo: lo, Hi: geom.Point{lo[0] + 0.4*r.Float64(), lo[1] + 0.4*r.Float64()}}
+		if a, b := served.Estimate(q), loaded.Estimate(q); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("query %d %v: served %v (%#x), downloaded %v (%#x)",
+				qi, q, a, math.Float64bits(a), b, math.Float64bits(b))
+		}
 	}
 }
 

@@ -86,12 +86,13 @@ go test -run 'TestEstimateHandlerZeroAlloc' -count=1 ./internal/serve
 # Stream endpoint concurrency gate: per-connection pooled state and the
 # registry's COW publication must stay tear-free under concurrent streams
 # and model hot-swaps; the BVH Reweight path gets the same treatment since
-# streaming estimates read trees that online learning republishes. The
-# packed 2-D box walk must keep estimateBox's exact bits on built, loaded
-# and reweighted trees, and a tree rebuilt from Build's leaf order (the
-# snapshot load path) must equal Build's array for array.
+# streaming estimates read trees that online learning republishes. The 2-D
+# prefix-mass table must answer within 1e-9 of the flat kernel on built,
+# loaded and reweighted trees, with the same bits from each, and a tree
+# rebuilt from Build's leaf order (the snapshot load path) must equal
+# Build's array for array.
 go test -race -run 'TestEstimateStreamConcurrentWithSwaps' -count=1 ./internal/serve
-go test -race -run 'TestReweightConcurrentNoTear|TestPropertyWalk2MatchesEstimateBoxBits|TestPropertyFromOrderMatchesBuild' -count=1 ./internal/bvh
+go test -race -run 'TestReweightConcurrentNoTear|TestPropertyTableMatchesFlat|TestPropertyFromOrderMatchesBuild' -count=1 ./internal/bvh
 # Observability zero-cost gate: the disabled span path must stay at
 # 0 allocs/op (TestObsDisabledAllocs fails the suite otherwise; the
 # benchmark arm here keeps the ns/op number visible in verify output).
