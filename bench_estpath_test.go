@@ -1,10 +1,9 @@
 package selest
 
-// Estimate hot-path benchmarks (DESIGN.md §10): the three serving kernels
-// — flat O(m) scan, BVH index, BVH behind the serving cache — at growing
-// bucket counts, the BVH on a sparse model, the flat-versus-tree crossover
-// below the indexing threshold, plus end-to-end batched /v1/estimate
-// throughput by worker count. scripts/bench.sh folds these into
+// Estimate hot-path benchmarks (DESIGN.md §10): the flat O(m) scan and the
+// BVH index at growing bucket counts, the BVH on a sparse model, the
+// flat-versus-tree crossover below the indexing threshold, plus end-to-end
+// batched /v1/estimate throughput by worker count. scripts/bench.sh folds these into
 // BENCH_<n>.json with intra-run speedups (flat kernel, dense BVH and
 // single-worker serving as baselines).
 
@@ -84,8 +83,9 @@ func estPathQueries(n int) []geom.Box {
 	return qs
 }
 
-// BenchmarkEstimatePath is the per-query latency of the three estimate
-// kernels at each bucket count the acceptance criteria name.
+// BenchmarkEstimatePath is the per-query latency of the flat kernel and
+// the BVH, on a dense and a sparse model, at each bucket count the
+// acceptance criteria name.
 func BenchmarkEstimatePath(b *testing.B) {
 	queries := estPathQueries(256)
 	for _, m := range []int{256, 1024, 4096, 16384} {
@@ -108,22 +108,6 @@ func BenchmarkEstimatePath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sparse.Estimate(queries[i%len(queries)])
-			}
-		})
-		b.Run(fmt.Sprintf("cached/m=%d", m), func(b *testing.B) {
-			core.Accelerate(model)
-			cache := serve.NewEstimateCache(4 * len(queries))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				key, ok := serve.QueryKey(q)
-				if !ok {
-					b.Fatal("unkeyable query")
-				}
-				if _, hit := cache.Get("bench", 1, key); hit {
-					continue
-				}
-				cache.Put("bench", 1, key, model.Estimate(q))
 			}
 		})
 	}
@@ -151,9 +135,7 @@ func BenchmarkIndexCrossover(b *testing.B) {
 }
 
 // BenchmarkServeEstimateBatch is end-to-end batched /v1/estimate
-// throughput by worker count, cache disabled so every iteration measures
-// real evaluation (repeated identical batches would otherwise be pure
-// cache hits). Reports queries/s alongside ns/op.
+// throughput by worker count. Reports queries/s alongside ns/op.
 func BenchmarkServeEstimateBatch(b *testing.B) {
 	model := estPathModel(4096)
 	core.Accelerate(model)
@@ -171,7 +153,7 @@ func BenchmarkServeEstimateBatch(b *testing.B) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := serve.NewServer(serve.Options{EstimateWorkers: workers, EstimateCacheSize: -1})
+			s := serve.NewServer(serve.Options{EstimateWorkers: workers})
 			s.Registry().Set(serve.DefaultModelName, "bench", model)
 			h := s.Handler()
 			b.ResetTimer()
@@ -204,7 +186,7 @@ func BenchmarkServeEstimateStream(b *testing.B) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := serve.NewServer(serve.Options{EstimateWorkers: workers, EstimateCacheSize: -1})
+			s := serve.NewServer(serve.Options{EstimateWorkers: workers})
 			s.Registry().Set(serve.DefaultModelName, "bench", model)
 			h := s.Handler()
 			b.ResetTimer()
@@ -231,7 +213,7 @@ func BenchmarkServeEstimateStream(b *testing.B) {
 func BenchmarkServeEstimateAlloc(b *testing.B) {
 	model := estPathModel(4096)
 	core.Accelerate(model)
-	s := serve.NewServer(serve.Options{EstimateCacheSize: -1})
+	s := serve.NewServer(serve.Options{})
 	s.Registry().Set(serve.DefaultModelName, "bench", model)
 	h := s.Handler()
 	body := `{"query":{"lo":[0.2,0.3],"hi":[0.6,0.7]}}`

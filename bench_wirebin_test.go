@@ -26,13 +26,12 @@ import (
 )
 
 // benchServer starts one Server with both the HTTP handler and the
-// binary listener on ephemeral ports, serving a 4096-bucket model with
-// the estimate cache disabled.
+// binary listener on ephemeral ports, serving a 4096-bucket model.
 func benchServer(b *testing.B) (httpAddr, binAddr string) {
 	b.Helper()
 	model := estPathModel(4096)
 	core.Accelerate(model)
-	s := serve.NewServer(serve.Options{EstimateCacheSize: -1})
+	s := serve.NewServer(serve.Options{})
 	s.Registry().Set(serve.DefaultModelName, "bench", model)
 
 	hln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -61,7 +61,6 @@ func main() {
 		interval    = flag.Duration("retrain-interval", 15*time.Second, "background retrain period")
 		tolerance   = flag.Float64("retrain-tolerance", 0, "max held-out RMS regression a retrained model may introduce and still be swapped in")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		cacheSize   = flag.Int("estimate-cache", 0, "generation-keyed estimate cache entries (0 = default 4096, negative disables)")
 		workers     = flag.Int("estimate-workers", 0, "workers for batched estimate requests (0 = all CPUs); responses are identical for any value")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logJSON     = flag.Bool("log-json", false, "emit logs as JSON instead of text")
@@ -104,7 +103,6 @@ func main() {
 		RetrainInterval:   *interval,
 		RetrainTolerance:  *tolerance,
 		DrainTimeout:      *drain,
-		EstimateCacheSize: *cacheSize,
 		EstimateWorkers:   *workers,
 		TraceSample:       *traceSample,
 		EnablePprof:       *pprofOn,

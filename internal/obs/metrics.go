@@ -377,7 +377,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time — the bridge for subsystems that already keep their own
-// atomics (the estimate cache, the parallel pool). fn must be safe for
+// counts (the feedback rings, the parallel pool). fn must be safe for
 // concurrent calls and monotone non-decreasing.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
 	r.register(name, help, kindCounter, labels, func() *series {

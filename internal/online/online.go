@@ -31,8 +31,8 @@
 // model via core.Reweightable.WithWeights, which shares the bucket
 // geometry and BVH node structure and recomputes only the cached subtree
 // sums. The serving layer publishes that model as a registry generation
-// bump, so the estimate cache invalidates exactly and no reader ever sees
-// a torn vector.
+// bump, so every estimate after the publish reads the new model and no
+// reader ever sees a torn vector.
 //
 // Everything in this package is deterministic: a given feedback sequence
 // applied to a given base model yields byte-identical weights regardless

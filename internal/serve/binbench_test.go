@@ -46,11 +46,11 @@ func benchGridModel(m int) *hist.Model {
 // registry lookup, estimate through the shared kernel, response encode —
 // measured in-process so the comparison against serve_alloc_single (the
 // in-process HTTP JSON handler) excludes loopback kernel time both arms
-// would pay identically. Same 4096-bucket model, cache disabled.
+// would pay identically. Same 4096-bucket model.
 func BenchmarkBinFrame(b *testing.B) {
 	model := benchGridModel(4096)
 	core.Accelerate(model)
-	s := NewServer(Options{EstimateCacheSize: -1})
+	s := NewServer(Options{})
 	s.Registry().Set(DefaultModelName, "bench", model)
 
 	q := geom.NewBox(geom.Point{0.2, 0.3}, geom.Point{0.6, 0.7})

@@ -81,6 +81,15 @@ type binState struct {
 
 var binStatePool = sync.Pool{New: func() any { return new(binState) }}
 
+// trim drops the oversized frame buffers before st goes back to
+// binStatePool.
+//
+//selvet:zeroalloc
+func (st *binState) trim() {
+	dropOversized(&st.frame)
+	dropOversized(&st.out)
+}
+
 // processBinFrame serves one request frame, appending exactly one
 // response frame to st.out. It never fails: every error becomes a
 // FrameError response. Decode faults keep the codec's own messages; the
@@ -175,10 +184,12 @@ func (s *Server) serveBinConn(conn net.Conn) {
 
 	st := binStatePool.Get().(*binState)
 	defer binStatePool.Put(st)
+	defer st.trim()
 	st.sc = scratchPool.Get().(*estimateScratch)
-	// LIFO defers: the scratch is returned and unhooked from st before
-	// st itself goes back to its pool.
+	// LIFO defers: the scratch is trimmed, returned and unhooked from st
+	// before st itself is trimmed and goes back to its pool.
 	defer func() {
+		st.sc.trim()
 		scratchPool.Put(st.sc)
 		st.sc = nil
 	}()

@@ -10,20 +10,21 @@ import (
 	"repro/internal/geom"
 )
 
-// EstimateCache is the serving layer's estimate memo: a bounded LRU from
-// (model name, registry generation, canonical query bytes) to the
-// estimate the model of that generation produced.
+// EstimateCache is a bounded LRU from (model name, registry generation,
+// canonical query bytes) to the estimate the model of that generation
+// produced.
 //
-// Keying by generation is what makes invalidation free and exact: a
-// hot-swap bumps the registry generation, so every lookup after the swap
-// misses by construction — an estimate computed by an old model can never
-// be served against a new one. Stale-generation entries are not purged
-// eagerly; they fall off the LRU tail under new traffic, which keeps the
-// swap path O(1) and lock-free for readers of the registry.
+// It is benchmark-only code: the server does not consult it, because a
+// lookup costs as much as the kernel it would save (DESIGN.md §10). The
+// end-to-end benchmark (_e2ebench/layers.go) still calls QueryKey,
+// NewEstimateCache, Get and Put for its cache.lookup_ns and
+// workload.repeat_share layers, so this file keeps their signatures until
+// a later revision of that benchmark deletes it.
 //
-// The mutex guards only map/list pointer updates (no I/O, no estimation
-// work is ever done under it — the lockheld analyzer gates this), so the
-// cache stays cheap even under heavy contention.
+// Keying by generation makes invalidation free and exact: a hot-swap
+// bumps the registry generation, so every lookup after the swap misses by
+// construction. Stale-generation entries fall off the LRU tail. The mutex
+// guards only map/list pointer updates (the lockheld analyzer gates this).
 type EstimateCache struct {
 	mu      sync.Mutex
 	cap     int

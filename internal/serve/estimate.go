@@ -12,7 +12,7 @@ import (
 
 // The estimate core (DESIGN.md §7). The JSON, NDJSON and binary transports
 // only decode, call the functions here, and encode: model lookup, the
-// dimension check, the cache and the kernel live nowhere else. The core's
+// dimension check and the kernel call live nowhere else. The core's
 // two faults are classed by wirebin code so every transport maps them
 // alike: CodeUnknownModel (HTTP 404) and CodeBadQuery (HTTP 400, or an
 // error line on the stream). Decode faults stay with each codec.
@@ -73,51 +73,29 @@ func (s *Server) admit(sc *estimateScratch, name []byte, ranges []geom.Range, er
 	return e, 0
 }
 
-// estimate returns an estimate for every query whose errs slot is nil,
-// serving what it can from the generation-keyed cache and evaluating the
-// misses as one batch on the shared deterministic kernel. Results are
-// index-addressed throughout, so the output is byte-identical for any
-// worker count. When sp is an active trace span, the cache scan and the
-// kernel fan-out appear as its children.
+// estimate returns an estimate for every query whose errs slot is nil.
+// The valid queries go to the shared deterministic kernel as one batch and
+// their results are scattered back by index, so the output is
+// byte-identical for any worker count. When sp is an active trace span,
+// the kernel fan-out appears as its child.
 //
 //selvet:zeroalloc
 func (s *Server) estimate(e *Entry, ranges []geom.Range, errs []error, sc *estimateScratch, sp obs.Span) []float64 {
-	var lookup obs.Span
-	if s.estCache != nil {
-		lookup = sp.Child("serve.cache_lookup")
-	}
 	ests := grow(&sc.ests, len(ranges))
-	keys := grow(&sc.keys, len(ranges))
-	miss, missRg := sc.miss[:0], sc.missRg[:0]
+	valid, validRg := sc.valid[:0], sc.validRg[:0]
 	for i, q := range ranges {
-		keys[i] = ""
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			valid = append(valid, i)
+			validRg = append(validRg, q)
 		}
-		if s.estCache != nil {
-			if k, ok := QueryKey(q); ok {
-				keys[i] = k
-				if v, hit := s.estCache.Get(e.name, e.Generation, k); hit {
-					ests[i] = v
-					lookup.Items++ // cache hits
-					continue
-				}
-			}
-		}
-		miss = append(miss, i)
-		missRg = append(missRg, q)
 	}
-	lookup.End()
-	sc.miss, sc.missRg = miss, missRg
-	missV := grow(&sc.missV, len(miss))
-	if len(miss) > 0 {
-		core.EstimateRangesTraced(e.Model, missRg, s.opts.EstimateWorkers, missV, sp)
+	sc.valid, sc.validRg = valid, validRg
+	validV := grow(&sc.validV, len(valid))
+	if len(valid) > 0 {
+		core.EstimateRangesTraced(e.Model, validRg, s.opts.EstimateWorkers, validV, sp)
 	}
-	for k, i := range miss {
-		ests[i] = missV[k]
-		if keys[i] != "" {
-			s.estCache.Put(e.name, e.Generation, keys[i], missV[k])
-		}
+	for k, i := range valid {
+		ests[i] = validV[k]
 	}
 	return ests
 }

@@ -52,8 +52,9 @@ type onlineState struct {
 
 // onlineUpdateBuckets spans 1µs–100ms: the target regime is tens of
 // microseconds, and anything beyond the top bucket is a pathology the
-// overflow count surfaces.
-var onlineUpdateBuckets = obs.ExpBuckets(1e-6, 1e-1, 4)
+// overflow count surfaces. Thirteen bounds per decade (×1.19 apart) let
+// a quantile read from them show a ×1.2 change in the fold's latency.
+var onlineUpdateBuckets = obs.ExpBuckets(1e-6, 1e-1, 13)
 
 func newOnlineManager(s *Server) *onlineManager {
 	reg := s.metrics

@@ -29,7 +29,6 @@ func benchOnlineServer(b *testing.B, nBuckets int) *Server {
 	s := NewServer(Options{
 		OnlineUpdates:     true,
 		MinRetrainSamples: 1 << 30, // retrainer driven never
-		EstimateCacheSize: -1,      // measure the model, not the cache
 	})
 	s.registry.Set(DefaultModelName, "file", m)
 	return s

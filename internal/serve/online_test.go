@@ -14,6 +14,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/hist"
 	"repro/internal/modelio"
+	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/rng"
 )
@@ -180,7 +181,7 @@ func TestOnlineRebuildAfterSwap(t *testing.T) {
 // function of the buckets and weights, so a publish that patched the
 // previous tree's table instead of computing its own would show here.
 func TestOnlineServedMatchesDownload(t *testing.T) {
-	s, _ := onlineServer(t, Options{EstimateCacheSize: -1})
+	s, _ := onlineServer(t, Options{})
 	for _, z := range feedbackStream(2203, 300) {
 		s.online.ingest(DefaultModelName, []core.LabeledQuery{z})
 	}
@@ -222,7 +223,7 @@ func TestOnlineServedMatchesDownload(t *testing.T) {
 func TestOnlineDeterminism(t *testing.T) {
 	stream := feedbackStream(1701, 400)
 	finalWeights := func(estimateWorkers int, hammer bool) []float64 {
-		s, _ := onlineServer(t, Options{EstimateWorkers: estimateWorkers, EstimateCacheSize: -1})
+		s, _ := onlineServer(t, Options{EstimateWorkers: estimateWorkers})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		if hammer {
@@ -278,7 +279,7 @@ func TestOnlineDeterminism(t *testing.T) {
 // weights a valid distribution — and nothing may panic or race.
 func TestOnlineCOWRace(t *testing.T) {
 	train, _ := fixture(t, 400, 0)
-	s, _ := onlineServer(t, Options{MinRetrainSamples: 8, EstimateCacheSize: -1})
+	s, _ := onlineServer(t, Options{MinRetrainSamples: 8})
 	// Give the retrainer material so RetrainNow genuinely swaps.
 	s.feedback.Add(DefaultModelName, train[:64])
 
@@ -448,5 +449,22 @@ func TestMetricsOnlineFamilies(t *testing.T) {
 	NewServer(Options{}).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if strings.Contains(w.Body.String(), "selserve_online_") {
 		t.Fatal("/metrics has selserve_online_ series with the subsystem disabled")
+	}
+}
+
+// TestOnlineUpdateBucketsShowTwentyPercent: folds ×1.25 and ×1.2 apart,
+// at a millisecond and in the tens of microseconds, read different
+// medians. 1.05 ms and 1.26 ms, and 21 µs and 25.2 µs, each share one
+// bucket of a four-per-decade layout.
+func TestOnlineUpdateBucketsShowTwentyPercent(t *testing.T) {
+	median := func(v float64) float64 {
+		h := obs.NewHistogram(onlineUpdateBuckets)
+		h.Observe(v)
+		return h.Snapshot().Quantile(0.5)
+	}
+	for _, pair := range [][2]float64{{1.00e-3, 1.25e-3}, {1.05e-3, 1.26e-3}, {21e-6, 25.2e-6}} {
+		if a, b := median(pair[0]), median(pair[1]); a == b {
+			t.Errorf("%g s and %g s both read median %g s", pair[0], pair[1], a)
+		}
 	}
 }

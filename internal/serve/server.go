@@ -40,6 +40,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -68,9 +69,6 @@ type Options struct {
 	MaxBodyBytes int64
 	// DrainTimeout bounds graceful shutdown (default 10s).
 	DrainTimeout time.Duration
-	// EstimateCacheSize bounds the generation-keyed estimate cache
-	// (default 4096 entries; negative disables caching).
-	EstimateCacheSize int
 	// EstimateWorkers is the worker count for batched estimate requests
 	// (default 0: the shared pool's default, i.e. GOMAXPROCS unless
 	// overridden via parallel.SetDefault).
@@ -122,9 +120,6 @@ func (o Options) withDefaults() Options {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 10 * time.Second
 	}
-	if o.EstimateCacheSize == 0 {
-		o.EstimateCacheSize = 4096
-	}
 	if o.OnlineBatchSize <= 0 {
 		o.OnlineBatchSize = 1
 	}
@@ -140,7 +135,6 @@ type Server struct {
 	registry *Registry
 	feedback *feedbackStore
 	stats    *statsSet
-	estCache *EstimateCache // nil when caching is disabled
 	online   *onlineManager // nil when online updates are disabled
 	metrics  *obs.Registry
 	tracer   *obs.Tracer
@@ -190,9 +184,6 @@ func NewServer(opts Options) *Server {
 	}
 	s.encodeErrs = reg.Counter("selserve_encode_errors_total",
 		"Response encode or write failures (client hangups included).")
-	if opts.EstimateCacheSize > 0 {
-		s.estCache = NewEstimateCache(opts.EstimateCacheSize)
-	}
 	s.registerMetrics(reg)
 	s.registerBinMetrics(reg)
 	if opts.OnlineUpdates {
@@ -202,7 +193,7 @@ func NewServer(opts Options) *Server {
 }
 
 // registerMetrics registers the server-wide series: the retrainer's
-// counters as handles, and func-backed series that read state the cache,
+// counters as handles, and func-backed series that read state the
 // feedback rings and worker pool already keep, so no count is kept twice.
 func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("selserve_uptime_seconds",
@@ -216,21 +207,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("selserve_models",
 		"Models currently registered.",
 		func() float64 { return float64(len(s.registry.Names())) })
-
-	if s.estCache != nil {
-		reg.CounterFunc("selserve_estimate_cache_hits_total",
-			"Estimate-cache lookups served from cache.",
-			func() int64 { return s.estCache.hits.Load() })
-		reg.CounterFunc("selserve_estimate_cache_misses_total",
-			"Estimate-cache lookups that fell through to the model.",
-			func() int64 { return s.estCache.misses.Load() })
-		reg.GaugeFunc("selserve_estimate_cache_entries",
-			"Entries currently in the estimate cache.",
-			func() float64 { return float64(s.estCache.Len()) })
-		reg.GaugeFunc("selserve_estimate_cache_capacity",
-			"Configured estimate-cache capacity.",
-			func() float64 { return float64(s.estCache.cap) })
-	}
 
 	reg.CounterFunc("selserve_feedback_observations_total",
 		"Feedback observations accepted across all models.",
@@ -595,15 +571,50 @@ type estimateScratch struct {
 	ranges []geom.Range     // one per query, nil when invalid
 
 	// estimate + encode state
-	keys   []string
-	miss   []int
-	missRg []geom.Range
-	missV  []float64
-	ests   []float64
-	out    []byte // hand-rolled response bytes (or a fault message)
+	valid   []int        // index of each query without a fault
+	validRg []geom.Range // those queries, in order: the kernel's batch
+	validV  []float64    // the kernel's answers to validRg
+	ests    []float64
+	out     []byte // hand-rolled response bytes (or a fault message)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(estimateScratch) }}
+
+// maxPooledBytes caps the backing array a pooled buffer keeps: a pool
+// holds its objects while they sit idle, so one oversized request must
+// not pin its memory for the requests after it.
+const maxPooledBytes = 1 << 20
+
+// dropOversized sets *s to nil when its backing array is over
+// maxPooledBytes; the next request that needs it grows a fresh one.
+//
+//selvet:zeroalloc
+func dropOversized[T any](s *[]T) {
+	var zero T
+	if uintptr(cap(*s))*unsafe.Sizeof(zero) > maxPooledBytes {
+		*s = nil
+	}
+}
+
+// trim drops every oversized buffer before sc goes back to scratchPool.
+//
+//selvet:zeroalloc
+func (sc *estimateScratch) trim() {
+	dropOversized(&sc.body)
+	dropOversized(&sc.name)
+	dropOversized(&sc.strbuf)
+	dropOversized(&sc.coords)
+	dropOversized(&sc.boxes)
+	dropOversized(&sc.halfs)
+	dropOversized(&sc.balls)
+	dropOversized(&sc.qerrs)
+	dropOversized(&sc.ranges)
+	dropOversized(&sc.valid)
+	dropOversized(&sc.validRg)
+	dropOversized(&sc.validV)
+	dropOversized(&sc.ests)
+	dropOversized(&sc.out)
+}
 
 // grow reslices *s to n elements, reallocating only when the pooled
 // capacity is too small. Stale values from a previous request may remain
@@ -622,6 +633,7 @@ func grow[T any](s *[]T, n int) []T {
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	sc := scratchPool.Get().(*estimateScratch)
 	defer scratchPool.Put(sc)
+	defer sc.trim() // deferred calls run last-in first-out: trim, then Put
 	if !s.readBody(w, r, sc) {
 		return
 	}

@@ -42,6 +42,7 @@ var streamWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(ni
 func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	sc := scratchPool.Get().(*estimateScratch)
 	defer scratchPool.Put(sc)
+	defer sc.trim()
 	sc.resetWire()
 	sc.name = append(sc.name, r.URL.Query().Get("model")...)
 	entry, code := s.admit(sc, sc.name, nil, nil)

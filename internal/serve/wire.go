@@ -269,26 +269,58 @@ func (p *wireParser) lookaheadU() rune {
 	return rune(v)
 }
 
+// parseFloat scans one JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and converts only that token, so the codec accepts exactly the numbers
+// encoding/json accepts. A leading '+', a bare '.' or a dangling exponent
+// fails here; after a leading zero the token ends, so "01" fails at the
+// '1' in the caller.
+//
 //selvet:zeroalloc
 func (p *wireParser) parseFloat() (float64, error) {
 	p.ws()
 	start := p.i
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' {
-			p.i++
-			continue
-		}
-		break
-	}
-	if p.i == start {
+	p.skip('-')
+	if !p.skip('0') && p.digits() == 0 {
 		return 0, fmt.Errorf("expected number at offset %d", start)
+	}
+	if p.skip('.') && p.digits() == 0 {
+		return 0, fmt.Errorf("invalid number at offset %d", start)
+	}
+	if p.skip('e') || p.skip('E') {
+		if !p.skip('+') {
+			p.skip('-')
+		}
+		if p.digits() == 0 {
+			return 0, fmt.Errorf("invalid number at offset %d", start)
+		}
 	}
 	v, err := strconv.ParseFloat(bstr(p.b[start:p.i]), 64)
 	if err != nil {
 		return 0, fmt.Errorf("invalid number at offset %d", start)
 	}
 	return v, nil
+}
+
+// skip consumes c if it is the next byte.
+//
+//selvet:zeroalloc
+func (p *wireParser) skip(c byte) bool {
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// digits consumes a run of decimal digits and returns its length.
+//
+//selvet:zeroalloc
+func (p *wireParser) digits() int {
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+		p.i++
+	}
+	return p.i - start
 }
 
 // parseFloatArray parses a JSON number array by appending to the shared

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -226,28 +227,6 @@ func TestWireParserEdgeCases(t *testing.T) {
 	}
 }
 
-// TestQueryKeyPointerValueAgree: the wire decoder hands the cache pointer
-// ranges while embedders hand it values; both must key identically or a
-// hot cache would split per caller.
-func TestQueryKeyPointerValueAgree(t *testing.T) {
-	box := geom.NewBox(geom.Point{0.1, 0.2}, geom.Point{0.6, 0.9})
-	half := geom.NewHalfspace(geom.Point{1, -1}, 0.1)
-	ball := geom.NewBall(geom.Point{0.4, 0.6}, 0.2)
-	pairs := []struct{ v, p geom.Range }{
-		{box, &box}, {half, &half}, {ball, &ball},
-	}
-	for _, pr := range pairs {
-		kv, okv := QueryKey(pr.v)
-		kp, okp := QueryKey(pr.p)
-		if !okv || !okp || kv != kp {
-			t.Fatalf("%T: value key %q (ok=%v) != pointer key %q (ok=%v)", pr.v, kv, okv, kp, okp)
-		}
-	}
-	if _, ok := QueryKey(nil); ok {
-		t.Fatal("nil range produced a cache key")
-	}
-}
-
 // reusableBody lets one http.Request replay the same payload without
 // allocating a fresh reader per iteration.
 type reusableBody struct{ *bytes.Reader }
@@ -266,46 +245,59 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 
 // TestEstimateHandlerZeroAlloc is the end-to-end allocation gate for the
-// single-estimate request path (the TestObsDisabledAllocs pattern applied
-// to the handler): mux dispatch, instrumentation, body read, decode,
-// estimate, encode — 0 allocs/op at steady state. The cache is disabled
-// because cache keying interns query bytes as map-key strings by design.
+// estimate request path (the TestObsDisabledAllocs pattern applied to the
+// handler): mux dispatch, instrumentation, body read, decode, estimate,
+// encode — 0 allocs/op at steady state, for one query and for a batch, on
+// the server's default configuration.
 func TestEstimateHandlerZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs without -race")
 	}
 	train, test := fixture(t, 60, 1)
 	m := trainModel(t, train)
-	s := NewServer(Options{EstimateCacheSize: -1})
+	s := NewServer(Options{})
 	s.Registry().Set(DefaultModelName, "test", m)
 	h := s.Handler()
 
-	b := test[0].R.(geom.Box)
-	payload, err := json.Marshal(estimateRequest{Query: &wireQuery{Lo: b.Lo, Hi: b.Hi}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := bytes.NewReader(payload)
-	req := httptest.NewRequest("POST", "/v1/estimate", rd)
-	req.Body = reusableBody{rd}
-	w := &discardWriter{h: make(http.Header)}
-
-	// Warm the pools and prove the path actually serves 200s.
-	for i := 0; i < 8; i++ {
-		rd.Reset(payload)
-		w.status = 0
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("warmup request: HTTP %d", w.status)
+	// gate warms the pools, proves the path serves 200s, then measures.
+	gate := func(t *testing.T, req estimateRequest) {
+		t.Helper()
+		payload, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := bytes.NewReader(payload)
+		r := httptest.NewRequest("POST", "/v1/estimate", rd)
+		r.Body = reusableBody{rd}
+		w := &discardWriter{h: make(http.Header)}
+		for i := 0; i < 8; i++ {
+			rd.Reset(payload)
+			w.status = 0
+			h.ServeHTTP(w, r)
+			if w.status != http.StatusOK {
+				t.Fatalf("warmup request: HTTP %d", w.status)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			rd.Reset(payload)
+			h.ServeHTTP(w, r)
+		})
+		if allocs != 0 {
+			t.Fatalf("estimate request path allocates %.1f objects/op, want 0", allocs)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		rd.Reset(payload)
-		h.ServeHTTP(w, req)
+
+	b := test[0].R.(geom.Box)
+	gate(t, estimateRequest{Query: &wireQuery{Lo: b.Lo, Hi: b.Hi}})
+
+	t.Run("batch", func(t *testing.T) {
+		qs := make([]wireQuery, 16)
+		for i := range qs {
+			f := float64(i) / 32
+			qs[i] = wireQuery{Lo: []float64{f, f / 2}, Hi: []float64{f + 0.4, f + 0.5}}
+		}
+		gate(t, estimateRequest{Queries: qs})
 	})
-	if allocs != 0 {
-		t.Fatalf("single-estimate request path allocates %.1f objects/op, want 0", allocs)
-	}
 }
 
 // TestWireParserSurrogatePairs pins \uXXXX handling to encoding/json:
@@ -361,46 +353,65 @@ func TestWireParserSurrogatePairs(t *testing.T) {
 	}
 }
 
-// TestWireParserExponentFloats pins textual float forms json.Marshal
-// never emits (uppercase E, explicit +, subnormals, extreme exponents)
-// to bit-identical agreement with encoding/json.
+// TestWireParserExponentFloats pins the codec's number grammar to
+// encoding/json's. Every form json.Unmarshal accepts into a float64,
+// including those json.Marshal never emits (uppercase E, explicit +,
+// subnormals, extreme exponents), parses to the same bits; every form it
+// rejects (a leading '+' or zero, a bare '.', a dangling exponent) is
+// refused by the parser, by /v1/estimate with a 400 and by the stream
+// with an error line.
 func TestWireParserExponentFloats(t *testing.T) {
+	s := NewServer(Options{})
+	s.Registry().Set(DefaultModelName, "test", unitModel(1))
+	h := s.Handler()
 	cases := []string{
 		"1e5", "1E5", "1e+5", "1e-5", "2.5e3", "-1.25E-2",
 		"0.0", "-0", "1e308", "-1e308", "5e-324", "4.9e-324",
-		"123456789.123456789e-9", "1E+2",
+		"123456789.123456789e-9", "1E+2", "0.5e-3", "1e05",
+		"+0.1", ".5", "1.", "01", "-01", "1.e2",
+		"1e", "1e+", "--1", "1.2.3", "0x10", "-", "1e400",
 	}
 	for _, f := range cases {
-		var want []float64
-		if err := json.Unmarshal([]byte("["+f+"]"), &want); err != nil {
-			t.Fatalf("oracle rejected %s: %v", f, err)
-		}
-		body := `{"query":{"lo":[` + f + `],"hi":[` + f + `]}}`
+		var want float64
+		werr := json.Unmarshal([]byte(f), &want)
+
 		sc := new(estimateScratch)
-		sc.body = []byte(body)
+		sc.body = []byte(`{"query":{"lo":[` + f + `,0],"hi":[1,1]}}`)
 		sc.resetWire()
-		if _, _, err := parseEstimateRequest(sc); err != nil {
-			t.Errorf("parse(%s): %v", f, err)
+		_, _, perr := parseEstimateRequest(sc)
+		if (perr == nil) != (werr == nil) {
+			t.Errorf("parse(%s): error %v, encoding/json says %v", f, perr, werr)
 			continue
 		}
-		box, ok := sc.ranges[0].(*geom.Box)
-		if !ok {
-			t.Errorf("parse(%s): range %T, want *geom.Box", f, sc.ranges[0])
-			continue
+		if werr == nil {
+			got := sc.ranges[0].(*geom.Box).Lo[0]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("parse(%s) = %v (bits %x), want %v (bits %x)",
+					f, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
-		if math.Float64bits(box.Lo[0]) != math.Float64bits(want[0]) {
-			t.Errorf("parse(%s) = %v (bits %x), want %v (bits %x)",
-				f, box.Lo[0], math.Float64bits(box.Lo[0]), want[0], math.Float64bits(want[0]))
+
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/estimate", bytes.NewReader(sc.body)))
+		wantCode := http.StatusBadRequest
+		if werr == nil {
+			wantCode = http.StatusOK
 		}
-	}
-	// Malformed numbers stay rejected.
-	for _, bad := range []string{"1e", "1e+", "--1", "1.2.3", "0x10"} {
-		body := `{"query":{"lo":[` + bad + `],"hi":[1]}}`
-		sc := new(estimateScratch)
-		sc.body = []byte(body)
-		sc.resetWire()
-		if _, _, err := parseEstimateRequest(sc); err == nil {
-			t.Errorf("parse(%s) accepted, want error", bad)
+		if w.Code != wantCode {
+			t.Errorf("/v1/estimate with %s: HTTP %d, want %d", f, w.Code, wantCode)
+		}
+
+		w = httptest.NewRecorder()
+		line := `{"lo":[` + f + `,0],"hi":[1,1]}` + "\n"
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/estimate/stream", strings.NewReader(line)))
+		var rec struct {
+			Estimate *float64
+			Error    string
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &rec); w.Code != http.StatusOK || err != nil {
+			t.Errorf("stream with %s: HTTP %d %q (%v)", f, w.Code, w.Body.String(), err)
+		} else if (rec.Estimate != nil) != (werr == nil) || (werr != nil && !strings.HasPrefix(rec.Error, "query 0: ")) {
+			t.Errorf("stream with %s answered %q, encoding/json says %v", f, w.Body.String(), werr)
 		}
 	}
 }
@@ -472,5 +483,49 @@ func TestReadBodySizedByBytesRead(t *testing.T) {
 	}
 	if c := cap(sc.body); c >= 1<<10 {
 		t.Fatalf("cap(sc.body) = %d after a %d-byte body, want under 1 KiB", c, len(body))
+	}
+}
+
+// TestPooledScratchDropsOversizedBuffers: after a 2 MiB estimate body, or
+// a stream batch whose coordinates alone pass the cap, the scratch the
+// pool hands out keeps no buffer over maxPooledBytes.
+func TestPooledScratchDropsOversizedBuffers(t *testing.T) {
+	s := NewServer(Options{})
+	s.Registry().Set(DefaultModelName, "test", unitModel(1))
+	h := s.Handler()
+	const q = `{"lo":[0.25,0.25],"hi":[0.75,0.75]}`
+	n := (2 << 20) / (len(q) + 1)
+	coords := strings.TrimSuffix(strings.Repeat("0.5,", 300), ",")
+	line := `{"lo":[` + coords + `],"hi":[` + coords + `]}` + "\n"
+	for _, c := range []struct{ path, body string }{
+		{"/v1/estimate", `{"model":"default","queries":[` + strings.Repeat(q+",", n-1) + q + `]}`},
+		{"/v1/estimate/stream?model=default", strings.Repeat(line, streamBatchSize)},
+	} {
+		// A goroutine that moves to another P between the handler's Put
+		// and this Get receives a fresh scratch, so retry until the pool
+		// hands back the request's own, which the parsed model name marks.
+		for attempt := 0; ; attempt++ {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: HTTP %d: %.200s", c.path, w.Code, w.Body.String())
+			}
+			sc := scratchPool.Get().(*estimateScratch)
+			used := cap(sc.name) > 0
+			v := reflect.ValueOf(sc).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				if size := f.Cap() * int(f.Type().Elem().Size()); size > maxPooledBytes {
+					t.Errorf("%s: pooled scratch keeps %s at %d bytes, over %d", c.path, v.Type().Field(i).Name, size, maxPooledBytes)
+				}
+			}
+			scratchPool.Put(sc)
+			if used {
+				break
+			}
+			if attempt == 10 {
+				t.Fatalf("%s: the pool never handed back the request's scratch", c.path)
+			}
+		}
 	}
 }

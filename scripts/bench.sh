@@ -172,9 +172,9 @@ END {
             # sparse arm, the single-worker run for batched serving
             # throughput.
             ref = ""
-            if (key ~ /^estpath_(bvh|cached)_m/) {
+            if (key ~ /^estpath_bvh_m/) {
                 ref = key
-                sub(/^estpath_[a-z]+_/, "estpath_flat_", ref)
+                sub(/^estpath_bvh_/, "estpath_flat_", ref)
             } else if (key ~ /^estpath_sparse_m/) {
                 ref = key
                 sub(/^estpath_sparse_/, "estpath_bvh_", ref)

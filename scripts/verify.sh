@@ -21,9 +21,10 @@ go run ./cmd/selvet -strict-suppressions ./...
 
 # The serving hot path is the contract that matters most in production:
 # re-sweep it explicitly so a selvet scope regression (e.g. a package
-# accidentally dropped from the walk) cannot silently skip the estimate
-# cache (lockheld: no I/O or estimation under the cache mutex) or the
-# batched fan-out (poolcapture: index-owned writes only). The obs layer
+# accidentally dropped from the walk) cannot silently skip the wire path
+# (zeroalloc: no allocating construct; poolpair: every pooled scratch
+# goes back) or the batched fan-out (poolcapture: index-owned writes
+# only). The obs layer
 # rides along: its exposition must stay deterministic (detrand, maprange)
 # since /metrics pages are diffed byte-for-byte in tests. internal/online
 # is in the sweep because its whole contract is deterministic pure-compute
@@ -78,10 +79,11 @@ go test -run 'TestOnlineDeterminism|TestDeterministicFold' ./internal/serve ./in
 # rather than in scripts/bench.sh.
 go test -run '^$' -bench 'BenchmarkFig09$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkEstimatePath/|BenchmarkIndexCrossover/|BenchmarkServeEstimateBatch/|BenchmarkServeEstimateStream/' -benchtime 1x .
-# Wire-path zero-allocation gate: the steady-state single-estimate path
-# through the full mux (pooled codecs, arena parse, hand-rolled encode)
-# must measure exactly 0 allocs/op — this is the contract DESIGN.md §13
-# documents, and any new per-request allocation fails the test.
+# Wire-path zero-allocation gate: the steady-state single-estimate and
+# 16-query batch paths through the full mux (pooled codecs, arena parse,
+# hand-rolled encode) of a server on the default Options{} must measure
+# exactly 0 allocs/op — this is the contract DESIGN.md §13 documents, and
+# any new per-request allocation fails the test.
 go test -run 'TestEstimateHandlerZeroAlloc' -count=1 ./internal/serve
 # Stream endpoint concurrency gate: per-connection pooled state and the
 # registry's COW publication must stay tear-free under concurrent streams
@@ -100,11 +102,12 @@ go test -run 'TestObsDisabledAllocs' -bench 'BenchmarkObsDisabled/' -benchtime 1
 # Binary wire protocol gates (DESIGN.md §15): the frame codec must stay
 # race-clean, the decoder must survive its fuzz corpus and decode only
 # finite ranges, binary estimates must be bit-identical to the JSON path,
-# the per-frame server path must measure exactly 0 allocs/op, and pooled
+# the per-frame server path must measure exactly 0 allocs/op on the
+# default Options{}, and pooled
 # per-connection state must stay tear-free under concurrent connections +
 # model hot-swaps. TestBinJSONEquivalence also holds the shared fault
 # table (every estimate transport answers a fault with the same class and
-# message) and the cached-stream case; TestRetrainSurvivesDimensionFaults
+# message) and the stream-after-swap case; TestRetrainSurvivesDimensionFaults
 # runs the retrain loop against wrong-dimension feedback and a
 # dimension-changing upload.
 go test -race -count=1 ./internal/wirebin
