@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/geom"
 	"repro/internal/hist"
 	"repro/internal/kdtree"
 	"repro/internal/linalg"
@@ -244,6 +245,65 @@ func BenchmarkMatVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.MulVec(x)
 	}
+}
+
+// trainSizeWorkload is the QUADHIST half of _e2ebench's train workload:
+// 2,000 data-driven ranges on Power-2D, labeled, with their quadtree
+// samples.
+func trainSizeWorkload(b *testing.B) ([]core.LabeledQuery, []quadtree.Sample) {
+	b.Helper()
+	ds := dataset.Power(dataset.DefaultPowerSize, 1).Project([]int{0, 1})
+	spec := workload.Spec{Class: workload.OrthogonalRange, Centers: workload.DataDriven}
+	train := workload.NewGenerator(ds, 4401001).Generate(spec, 2000)
+	cube := geom.UnitCube(2)
+	qs := make([]quadtree.Sample, len(train))
+	for i, z := range train {
+		qs[i] = quadtree.Sample{R: z.R, S: z.Sel, RVol: z.R.IntersectBoxVolume(cube)}
+	}
+	return train, qs
+}
+
+// BenchmarkSearchTau times Algorithm 2's threshold search for a cap of
+// 2,000 buckets at the train workload's size: the tau_search stage.
+func BenchmarkSearchTau(b *testing.B) {
+	_, qs := trainSizeWorkload(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hist.SearchTau(2, qs, 2000)
+	}
+}
+
+// BenchmarkSparseMatVec times FISTA's two products on the train
+// workload's QUADHIST design matrix (2,000 queries by about 2,000
+// buckets, 42% dense, 92% of its nonzeros exactly 1), with the dense
+// vectors of FISTA's first step: uniform weights, then the residual.
+func BenchmarkSparseMatVec(b *testing.B) {
+	train, qs := trainSizeWorkload(b)
+	tree := quadtree.BuildFromQueries(2, qs, hist.SearchTau(2, qs, 2000), quadtree.WithMaxLeaves(2000))
+	a := core.DesignMatrixBoxes(train, tree.Leaves())
+	sp := linalg.NewSparse(a)
+	w := make([]float64, a.Cols)
+	for j := range w {
+		w[j] = 1 / float64(a.Cols)
+	}
+	res := sp.MulVec(w)
+	for i, z := range train {
+		res[i] -= z.Sel
+	}
+	b.Run("mul", func(b *testing.B) {
+		y := make([]float64, a.Rows)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sp.MulVecInto(y, w)
+		}
+	})
+	b.Run("tmul", func(b *testing.B) {
+		g := make([]float64, a.Cols)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sp.TMulVecInto(g, res)
+		}
+	})
 }
 
 // Theorem 2.1 calculator sanity at benchmark time: cheap, but keeps the

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -21,6 +23,25 @@ import (
 type LabeledQuery struct {
 	R   geom.Range
 	Sel float64
+}
+
+// ErrNonFiniteSelectivity is what CheckFiniteSelectivities wraps.
+var ErrNonFiniteSelectivity = errors.New("selectivity is not finite")
+
+// CheckFiniteSelectivities returns an error naming the first sample whose
+// selectivity is NaN or ±Inf, or nil when every label is finite. Every
+// trainer calls it before anything else. A NaN label would otherwise
+// train without error and wreck the model: QUADHIST's split test
+// `p <= tau` is false for it, so the query splits every node it touches
+// until the bucket cap stops it, and any label that is not finite
+// poisons the least-squares fit of Equation 8.
+func CheckFiniteSelectivities(samples []LabeledQuery) error {
+	for i, z := range samples {
+		if math.IsNaN(z.Sel) || math.IsInf(z.Sel, 0) {
+			return fmt.Errorf("training sample %d: %w (%v)", i, ErrNonFiniteSelectivity, z.Sel)
+		}
+	}
+	return nil
 }
 
 // Model is a learned selectivity function s_D induced by some data

@@ -39,10 +39,10 @@ const (
 
 // Options configures QUADHIST training.
 type Options struct {
-	// Tau is the split threshold of Algorithm 2. If zero, it is chosen by
-	// binary search so that the bucket count approaches MaxBuckets (the
-	// paper controls model size "by varying τ or adding a hard
-	// termination condition").
+	// Tau is the split threshold of Algorithm 2. If zero, SearchTau
+	// picks it so that the bucket count approaches MaxBuckets (the paper
+	// controls model size "by varying τ or adding a hard termination
+	// condition").
 	Tau float64
 	// MaxBuckets caps model complexity. Zero means unlimited (valid only
 	// with explicit Tau).
@@ -118,6 +118,9 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 
 // TrainHist is Train with a concrete return type.
 func (t *Trainer) TrainHist(samples []core.LabeledQuery) (*Model, error) {
+	if err := core.CheckFiniteSelectivities(samples); err != nil {
+		return nil, fmt.Errorf("hist: %w", err)
+	}
 	if len(samples) == 0 {
 		return nil, errors.New("hist: empty training set")
 	}
@@ -128,7 +131,7 @@ func (t *Trainer) TrainHist(samples []core.LabeledQuery) (*Model, error) {
 	tau := t.Opts.Tau
 	if tau == 0 {
 		stage := t.Log.Stage("tau_search")
-		tau = searchTau(t.Dim, qsamples, t.Opts.MaxBuckets)
+		tau = SearchTau(t.Dim, qsamples, t.Opts.MaxBuckets)
 		stage.End()
 	}
 	var opts []quadtree.Option
@@ -173,23 +176,28 @@ func makeQuadSamples(samples []core.LabeledQuery, dim int) []quadtree.Sample {
 	return out
 }
 
-// searchTau binary-searches the split threshold so the resulting leaf count
-// approaches (but does not exceed) maxBuckets. The leaf count is monotone
-// non-increasing in τ, which makes bisection sound.
-func searchTau(dim int, samples []quadtree.Sample, maxBuckets int) float64 {
+// SearchTau picks Algorithm 2's split threshold for a bucket cap, the τ a
+// Trainer uses when Options.Tau is zero: the least τ, to within a ratio
+// of 1.001, whose tree keeps within maxBuckets leaves. Leaf counts fall as
+// τ grows, so it bisects geometrically on [1e-7, 1]. Each probe asks
+// whether τ ≥ quadtree.MinTau, the exact threshold at which the uncapped
+// tree first fits the cap, instead of building a tree. The probes, and so
+// the result, are bit for bit those of a bisection over probe builds
+// capped at maxBuckets + 2^d leaves: such a build ends within maxBuckets
+// exactly when the uncapped tree does.
+//
+// The result lands up to 0.1% above MinTau's threshold; returning that
+// threshold itself would change the tree whenever a second node's score
+// lies in between.
+func SearchTau(dim int, samples []quadtree.Sample, maxBuckets int) float64 {
+	v := quadtree.MinTau(dim, samples, maxBuckets)
 	lo, hi := 1e-7, 1.0 // leaf counts: many .. 1
-	leavesAt := func(tau float64) int {
-		// The cap makes probe builds cheap even for tiny τ.
-		t := quadtree.BuildFromQueries(dim, samples, tau,
-			quadtree.WithMaxLeaves(maxBuckets+(1<<uint(dim))))
-		return t.NumLeaves()
-	}
-	if leavesAt(lo) <= maxBuckets {
+	if lo >= v {
 		return lo
 	}
 	for iter := 0; iter < 40 && hi/lo > 1.001; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection: τ spans decades
-		if leavesAt(mid) <= maxBuckets {
+		if mid >= v {
 			hi = mid
 		} else {
 			lo = mid

@@ -260,7 +260,7 @@ func TestTrainerInterface(t *testing.T) {
 	}
 }
 
-// searchTau is monotone in its budget: a larger bucket budget never yields
+// SearchTau is monotone in its budget: a larger bucket budget never yields
 // fewer buckets, and the cap is always respected.
 func TestSearchTauMonotoneInBudget(t *testing.T) {
 	train, _ := trainTest2D(t, 120, 0)

@@ -18,6 +18,7 @@ package isomer
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -105,6 +106,9 @@ func (t *Trainer) Name() string { return "Isomer" }
 // trained model is BVH-indexed). Queries must be boxes (ISOMER is an
 // orthogonal-range method; the paper compares it only there).
 func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
+	if err := core.CheckFiniteSelectivities(samples); err != nil {
+		return nil, fmt.Errorf("isomer: %w", err)
+	}
 	maxBuckets := t.Opts.MaxBuckets
 	if maxBuckets == 0 {
 		maxBuckets = 20000

@@ -75,6 +75,9 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 
 // TrainHist is Train with a concrete return type.
 func (t *Trainer) TrainHist(samples []core.LabeledQuery) (*Model, error) {
+	if err := core.CheckFiniteSelectivities(samples); err != nil {
+		return nil, fmt.Errorf("ptshist: %w", err)
+	}
 	if len(samples) == 0 {
 		return nil, errors.New("ptshist: empty training set")
 	}

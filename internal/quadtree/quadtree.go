@@ -10,10 +10,12 @@
 //
 // exceeds the threshold τ, and the refinement recurses into the children.
 // The final leaves become the histogram buckets. The construction is
-// order-independent (Lemma A.4) — property-tested in this package — unless a
-// hard leaf cap is set, in which case insertion order can matter for the
-// tail of the splits (the paper notes the same caveat for its hard
-// termination condition).
+// order-independent (Lemma A.4) for every range class — property-tested in
+// this package — unless a hard leaf cap is set, in which case insertion
+// order can matter for the tail of the splits (the paper notes the same
+// caveat for its hard termination condition). MinTau (mintau.go) states
+// why: without a cap, a node splits exactly when a per-node score, fixed
+// by the samples alone, exceeds τ.
 package quadtree
 
 import "repro/internal/geom"
@@ -96,7 +98,7 @@ func (t *Tree) update(u *node, depth int, r geom.Range, s, rVol, tau float64) in
 		return 0
 	}
 	visited := 1
-	p := r.IntersectBoxVolume(u.box) / rVol * s
+	p := splitScore(r, u.box, s, rVol)
 	if p <= tau {
 		return visited
 	}
@@ -118,6 +120,13 @@ func (t *Tree) update(u *node, depth int, r geom.Range, s, rVol, tau float64) in
 		visited += t.update(c, depth+1, r, s, rVol, tau)
 	}
 	return visited
+}
+
+// splitScore is Algorithm 2's p(u,R) = vol(R∩u)/vol(R)·s, the share of
+// R's selectivity that falls in u. update splits u for R when it is above
+// τ, and MinTau ranks nodes by it; one expression keeps the two in step.
+func splitScore(r geom.Range, box geom.Box, s, rVol float64) float64 {
+	return r.IntersectBoxVolume(box) / rVol * s
 }
 
 // Leaves returns the leaf boxes in deterministic DFS order.

@@ -86,23 +86,51 @@ func leavesKey(boxes []geom.Box) []string {
 	return keys
 }
 
+// randomRange draws a box, a halfspace or a ball (class 0, 1, 2) in
+// [0,1]^dim, with its clipped volume.
+func randomRange(r *rng.RNG, dim, class int) (geom.Range, float64) {
+	center := make(geom.Point, dim)
+	for j := range center {
+		center[j] = r.Float64()
+	}
+	var q geom.Range
+	switch class {
+	case 0:
+		sides := make([]float64, dim)
+		for j := range sides {
+			sides[j] = r.Float64()
+		}
+		q = geom.BoxFromCenter(center, sides)
+	case 1:
+		a := make(geom.Point, dim)
+		b := 0.0
+		for j := range a {
+			a[j] = 2*r.Float64() - 1
+			b += a[j] * center[j]
+		}
+		q = geom.NewHalfspace(a, b)
+	default:
+		q = geom.NewBall(center, 0.05+0.5*r.Float64())
+	}
+	return q, q.IntersectBoxVolume(geom.UnitCube(dim))
+}
+
 // Lemma A.4: the partition is independent of the order in which training
-// queries are inserted (without a leaf cap).
+// queries are inserted (without a leaf cap), for boxes, halfspaces and
+// balls alike: a node splits when its MinTau score exceeds τ, whatever the
+// order. Ball volumes in 3-D come from QMC, so those trials are few.
 func TestOrderIndependence(t *testing.T) {
 	r := rng.New(2022)
-	for trial := 0; trial < 20; trial++ {
-		dim := 1 + r.IntN(3)
+	for trial := 0; trial < 45; trial++ {
+		dim, class := 1+trial/3%3, trial%3 // five trials per pair
 		n := 5 + r.IntN(15)
+		if dim == 3 && class == 2 {
+			n = 3 + r.IntN(3)
+		}
 		samples := make([]Sample, n)
 		for i := range samples {
-			center := make(geom.Point, dim)
-			sides := make([]float64, dim)
-			for j := 0; j < dim; j++ {
-				center[j] = r.Float64()
-				sides[j] = r.Float64()
-			}
-			q := geom.BoxFromCenter(center, sides)
-			samples[i] = Sample{R: q, S: r.Float64(), RVol: q.Volume()}
+			q, vol := randomRange(r, dim, class)
+			samples[i] = Sample{R: q, S: r.Float64(), RVol: vol}
 		}
 		tau := 0.02 + 0.1*r.Float64()
 		base := leavesKey(BuildFromQueries(dim, samples, tau).Leaves())
@@ -113,14 +141,95 @@ func TestOrderIndependence(t *testing.T) {
 			}
 			got := leavesKey(BuildFromQueries(dim, shuffled, tau).Leaves())
 			if len(got) != len(base) {
-				t.Fatalf("trial %d: leaf count differs across orders: %d vs %d", trial, len(got), len(base))
+				t.Fatalf("trial %d (d=%d class %d): leaf count differs across orders: %d vs %d", trial, dim, class, len(got), len(base))
 			}
 			for i := range got {
 				if got[i] != base[i] {
-					t.Fatalf("trial %d: partitions differ at %d: %s vs %s", trial, i, got[i], base[i])
+					t.Fatalf("trial %d (d=%d class %d): partitions differ at %d: %s vs %s", trial, dim, class, i, got[i], base[i])
 				}
 			}
 		}
+	}
+}
+
+// MinTau is the exact threshold at which the uncapped tree first fits the
+// cap: at v it has at most maxLeaves leaves, and just below v it has more.
+// Trials cover every range class, tied selectivities and repeated queries
+// (whose node scores tie), a depth cap, and caps from 1 to 600.
+func TestMinTauIsExactThreshold(t *testing.T) {
+	r := rng.New(1999)
+	for trial := 0; trial < 150; trial++ {
+		dim := 1 + r.IntN(3)
+		class := trial % 3
+		if dim == 3 && class == 2 {
+			dim = 2 // QMC volumes: TestOrderIndependence covers 3-D balls
+		}
+		n := 1 + r.IntN(25)
+		samples := make([]Sample, n)
+		for i := range samples {
+			q, vol := randomRange(r, dim, class)
+			s := r.Float64()
+			if trial%2 == 0 {
+				s = []float64{0.25, 0.5, 1}[r.IntN(3)]
+			}
+			samples[i] = Sample{R: q, S: s, RVol: vol}
+		}
+		if trial%4 == 0 {
+			samples = append(samples, Sample{R: geom.UnitCube(dim), S: 1, RVol: 1})
+			samples = append(samples, samples[:n/2]...)
+		}
+		maxLeaves := 1 + r.IntN(600)
+		var opts []Option
+		if trial%5 == 0 {
+			opts = append(opts, WithMaxDepth(1+r.IntN(4)))
+		}
+		v := MinTau(dim, samples, maxLeaves, opts...)
+		if math.IsInf(v, 0) || v < 0 {
+			t.Fatalf("trial %d: MinTau = %v", trial, v)
+		}
+		if got := BuildFromQueries(dim, samples, v, opts...).NumLeaves(); got > maxLeaves {
+			t.Fatalf("trial %d: %d leaves at τ = MinTau = %v, cap %d", trial, got, v, maxLeaves)
+		}
+		if v == 0 {
+			continue
+		}
+		below := math.Nextafter(v, 0)
+		if got := BuildFromQueries(dim, samples, below, opts...).NumLeaves(); got <= maxLeaves {
+			t.Fatalf("trial %d: %d leaves just below MinTau = %v, cap %d", trial, got, v, maxLeaves)
+		}
+	}
+}
+
+func TestMinTauEdges(t *testing.T) {
+	cube := Sample{R: geom.UnitCube(2), S: 1, RVol: 1}
+	if v := MinTau(2, []Sample{cube}, 0); !math.IsInf(v, 1) {
+		t.Fatalf("cap 0: MinTau = %v, want +Inf", v)
+	}
+	// The root scores 1 and its four children 1/4 each: one split fits a
+	// cap of 4, the five that follow do not fit 15.
+	if v := MinTau(2, []Sample{cube}, 4); v != 0.25 {
+		t.Fatalf("cap 4: MinTau = %v, want 0.25", v)
+	}
+	if v := MinTau(2, []Sample{cube}, 15); v != 0.25 {
+		t.Fatalf("cap 15: MinTau = %v, want 0.25", v)
+	}
+	if v := MinTau(2, []Sample{cube}, 16); v != 0.0625 {
+		t.Fatalf("cap 16: MinTau = %v, want 0.0625", v)
+	}
+	if v := MinTau(2, []Sample{cube}, 1); v != 1 {
+		t.Fatalf("cap 1: MinTau = %v, want 1", v)
+	}
+	// The depth cap bounds the tree whatever τ is.
+	if v := MinTau(2, []Sample{cube}, 16, WithMaxDepth(2)); v != 0 {
+		t.Fatalf("depth 2, cap 16: MinTau = %v, want 0", v)
+	}
+	// Samples InsertCounted ignores split nothing.
+	if v := MinTau(2, []Sample{{R: geom.UnitCube(2), S: 0, RVol: 1}}, 1); v != 0 {
+		t.Fatalf("zero selectivity: MinTau = %v, want 0", v)
+	}
+	// A NaN score splits at any τ, as `p <= tau` lets it through.
+	if v := MinTau(2, []Sample{{R: geom.UnitCube(2), S: math.NaN(), RVol: 1}}, 100); !math.IsInf(v, 1) {
+		t.Fatalf("NaN selectivity: MinTau = %v, want +Inf", v)
 	}
 }
 

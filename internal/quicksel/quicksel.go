@@ -16,6 +16,7 @@ package quicksel
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -74,6 +75,9 @@ func (t *Trainer) Name() string { return "QuickSel" }
 // their bounding boxes, as a mixture of uniform boxes cannot represent
 // them exactly.
 func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
+	if err := core.CheckFiniteSelectivities(samples); err != nil {
+		return nil, fmt.Errorf("quicksel: %w", err)
+	}
 	if len(samples) == 0 {
 		return nil, errors.New("quicksel: empty training set")
 	}

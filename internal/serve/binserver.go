@@ -81,13 +81,15 @@ type binState struct {
 
 var binStatePool = sync.Pool{New: func() any { return new(binState) }}
 
-// trim drops the oversized frame buffers before st goes back to
-// binStatePool.
+// trim drops the oversized frame and arena buffers before st goes back
+// to binStatePool, and the last request, which aliases the arena.
 //
 //selvet:zeroalloc
 func (st *binState) trim() {
 	dropOversized(&st.frame)
 	dropOversized(&st.out)
+	st.arena.Trim(maxPooledBytes)
+	st.req = wirebin.Request{}
 }
 
 // processBinFrame serves one request frame, appending exactly one

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/hist"
 	"repro/internal/wirebin"
 )
 
@@ -573,6 +575,54 @@ func TestBinPoolDropsOversizedFrame(t *testing.T) {
 	for i := range ranges {
 		ranges[i] = geom.Box{Lo: geom.Point{0.25, 0.25}, Hi: geom.Point{0.75, 0.75}}
 	}
+	pooledAfterFrame(t, s, ranges, func(st *binState) {
+		if c := cap(st.frame); c > maxPooledBytes {
+			t.Errorf("pooled binState keeps a %d-byte frame buffer", c)
+		}
+		if c := cap(st.out); c > maxPooledBytes {
+			t.Errorf("pooled binState keeps a %d-byte output buffer", c)
+		}
+	})
+}
+
+// TestBinPoolTrimsArena: after a connection that decoded a frame of
+// 60,000 1-D boxes, the pooled binState's decode arena keeps no buffer
+// over maxPooledBytes, and its request no longer aliases the frame's
+// ranges.
+func TestBinPoolTrimsArena(t *testing.T) {
+	s := NewServer(Options{})
+	s.Registry().Set(DefaultModelName, "test", &hist.Model{
+		Buckets: []geom.Box{geom.UnitCube(1)},
+		Weights: []float64{1},
+	})
+	ranges := make([]geom.Range, 60000)
+	for i := range ranges {
+		ranges[i] = geom.Box{Lo: geom.Point{0.25}, Hi: geom.Point{0.75}}
+	}
+	pooledAfterFrame(t, s, ranges, func(st *binState) {
+		// The arena's fields are wirebin's own, so read their sizes
+		// through reflection: every slice field, present or future.
+		av := reflect.ValueOf(st.arena)
+		for i := 0; i < av.NumField(); i++ {
+			f := av.Field(i)
+			if f.Kind() != reflect.Slice {
+				continue
+			}
+			if b := f.Cap() * int(f.Type().Elem().Size()); b > maxPooledBytes {
+				t.Errorf("pooled arena keeps %d bytes in %s", b, av.Type().Field(i).Name)
+			}
+		}
+		if st.req.Ranges != nil || st.req.Sels != nil || st.req.Model != nil {
+			t.Errorf("pooled request still aliases %d ranges", len(st.req.Ranges))
+		}
+	})
+}
+
+// pooledAfterFrame serves one connection that sends an estimate batch of
+// ranges, over maxPooledBytes as a frame, then runs check on the binState
+// the pool hands back.
+func pooledAfterFrame(t *testing.T, s *Server, ranges []geom.Range, check func(st *binState)) {
+	t.Helper()
 	frame, err := wirebin.AppendEstimateBatchReq(nil, nil, ranges)
 	if err != nil {
 		t.Fatal(err)
@@ -600,11 +650,8 @@ func TestBinPoolDropsOversizedFrame(t *testing.T) {
 		s.serveBinConn(conn)
 		st := binStatePool.Get().(*binState)
 		used := cap(st.out) > 0
-		if c := cap(st.frame); c > maxPooledBytes {
-			t.Errorf("pooled binState keeps a %d-byte frame buffer", c)
-		}
-		if c := cap(st.out); c > maxPooledBytes {
-			t.Errorf("pooled binState keeps a %d-byte output buffer", c)
+		if used {
+			check(st)
 		}
 		binStatePool.Put(st)
 		if used {

@@ -62,9 +62,8 @@ func projectSimplexInto(dst, v, u []float64) {
 // SimplexPGD solves min ‖A·w − s‖² over the probability simplex with
 // Nesterov-accelerated projected gradient (FISTA). It is the large-scale
 // alternative to the Lawson–Hanson path: O(nnz) per iteration regardless
-// of the active-set size. The matrix is compressed once up front; because
-// simplex-projected iterates are mostly exact zeros, the A·y product then
-// skips most columns outright.
+// of the active-set size. The matrix is compressed once up front, with
+// its exact-1 entries stored as bare indices (linalg.Sparse).
 func SimplexPGD(a *linalg.Matrix, s []float64, iters int) []float64 {
 	return SimplexPGDStats(a, s, iters, nil)
 }

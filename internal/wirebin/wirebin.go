@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -165,6 +166,32 @@ func (a *Arena) Reset() {
 	a.ranges = a.ranges[:0]
 	a.sels = a.sels[:0]
 	a.name = a.name[:0]
+}
+
+// Trim sets to nil every buffer whose backing array is over maxBytes, so
+// an arena kept for later frames does not hold the largest frame's memory;
+// the next frame that needs such a buffer grows a fresh one. Requests
+// decoded before still alias the old arrays and keep them alive.
+//
+//selvet:zeroalloc
+func (a *Arena) Trim(maxBytes int) {
+	dropOver(&a.coords, maxBytes)
+	dropOver(&a.boxes, maxBytes)
+	dropOver(&a.halfs, maxBytes)
+	dropOver(&a.balls, maxBytes)
+	dropOver(&a.ranges, maxBytes)
+	dropOver(&a.sels, maxBytes)
+	dropOver(&a.name, maxBytes)
+}
+
+// dropOver sets *s to nil when its backing array is over maxBytes.
+//
+//selvet:zeroalloc
+func dropOver[T any](s *[]T, maxBytes int) {
+	var zero T
+	if cap(*s)*int(unsafe.Sizeof(zero)) > maxBytes {
+		*s = nil
+	}
 }
 
 // Request is one decoded request frame. All slices alias the Arena passed

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -300,6 +301,46 @@ func TestDecodeReuseNoGrowth(t *testing.T) {
 	}
 	if cap(a.coords) != c0 || cap(a.boxes) != b0 {
 		t.Fatalf("arena grew on reuse: coords %d→%d boxes %d→%d", c0, cap(a.coords), b0, cap(a.boxes))
+	}
+}
+
+// TestArenaTrim: Trim drops exactly the buffers whose backing arrays are
+// over the limit, keeps the rest with their capacity, and the arena
+// decodes as before afterwards.
+func TestArenaTrim(t *testing.T) {
+	ranges := make([]geom.Range, 60000)
+	for i := range ranges {
+		ranges[i] = geom.Box{Lo: geom.Point{0.25}, Hi: geom.Point{0.75}}
+	}
+	big := mustFrame(AppendEstimateBatchReq(nil, []byte("m"), ranges))
+	small := mustFrame(AppendEstimateBatchReq(nil, []byte("m"), ranges[:4]))
+	const limit = 1 << 20
+	var a Arena
+	var req Request
+	if err := decodeOne(t, big, &a, &req); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(a.boxes); c*int(unsafe.Sizeof(geom.Box{})) <= limit {
+		t.Fatalf("test harness: boxes hold %d boxes, want over %d bytes", c, limit)
+	}
+	nameCap := cap(a.name)
+	a.Trim(limit)
+	if a.coords != nil || a.boxes != nil || a.ranges != nil {
+		t.Fatalf("oversized buffers kept: coords %d, boxes %d, ranges %d", cap(a.coords), cap(a.boxes), cap(a.ranges))
+	}
+	if cap(a.name) != nameCap {
+		t.Fatalf("name buffer went from %d to %d bytes", nameCap, cap(a.name))
+	}
+	if err := decodeOne(t, small, &a, &req); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Ranges) != 4 {
+		t.Fatalf("decoded %d ranges after Trim, want 4", len(req.Ranges))
+	}
+	coords, boxes := cap(a.coords), cap(a.boxes)
+	a.Trim(limit)
+	if cap(a.coords) != coords || cap(a.boxes) != boxes {
+		t.Fatalf("Trim dropped buffers under the limit")
 	}
 }
 

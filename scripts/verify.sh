@@ -73,6 +73,12 @@ go test -race ./internal/obs/...
 go test -race -run 'TestOnlineCOWRace|TestOnlineDeterminism' ./internal/serve
 go test -race ./internal/online
 go test -run 'TestOnlineDeterminism|TestDeterministicFold' ./internal/serve ./internal/online
+# Training same-bits gates: the threshold search from one best-first
+# quadtree pass must return the probe-build bisection's τ bit for bit, and
+# the sparse kernels that store exact 1s as bare indices must match the
+# pair-per-entry kernels bit for bit, so no trained model changes.
+go test -count=1 -run 'TestSearchTauMatchesProbeBuilds|TestMinTauIsExactThreshold|TestOrderIndependence|TestSparseMatchesReferenceBits|TestSparseMatchesDense' ./internal/hist ./internal/quadtree ./internal/linalg
+go test -run '^$' -bench 'BenchmarkSearchTau$|BenchmarkSparseMatVec/' -benchtime 1x .
 # Benchmark smoke: one iteration of the fig9 sweep under the Quick preset
 # plus one pass over the estimate-path kernels and the batched serving
 # endpoint, so a perf regression that breaks either harness is caught here
