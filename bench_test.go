@@ -151,27 +151,71 @@ func BenchmarkAblationPtsMixPaper(b *testing.B)       { benchPtsMix(b, 0.9) }
 func BenchmarkAblationPtsMixAllInterior(b *testing.B) { benchPtsMix(b, 0.999) }
 func BenchmarkAblationPtsMixAllUniform(b *testing.B)  { benchPtsMix(b, 0.001) }
 
-// Ablation: kd-tree vs brute-force workload labeling.
-func BenchmarkAblationLabelingKDTree(b *testing.B) {
-	ds := dataset.Power(20000, 1).Project([]int{0, 1})
-	g := workload.NewGenerator(ds, 42)
-	spec := workload.Spec{Class: workload.OrthogonalRange, Centers: workload.DataDriven}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Generate(spec, 100)
-	}
-}
+// walkBox is a box the tree's rank index does not take: counting it
+// walks the kd-tree.
+type walkBox struct{ geom.Box }
 
-func BenchmarkAblationLabelingBruteForce(b *testing.B) {
-	ds := dataset.Power(20000, 1).Project([]int{0, 1})
-	g := workload.NewGenerator(ds, 42)
+// labelSink keeps BenchmarkLabel's counts and trees live.
+var labelSink int
+
+// BenchmarkLabel times exact labeling at the train workload's sizes:
+// 6,000 data-driven boxes on Power-2D (40,000 points) and 5,400 on
+// Forest-5D (30,000 points), one op labeling them all. The index arm
+// counts them as the workload generators do, the walk arm through
+// walkBox, and the brute arm with kdtree.BruteCount. The build arm times
+// a fresh tree's first box count, which builds the rank index; walkbuild
+// times its first walkBox count, which builds the kd-tree, as the first
+// ball or halfspace label does.
+func BenchmarkLabel(b *testing.B) {
 	spec := workload.Spec{Class: workload.OrthogonalRange, Centers: workload.DataDriven}
-	queries := g.Generate(spec, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, z := range queries {
-			kdtree.BruteCount(ds.Points, z.R)
+	sets := []struct {
+		name  string
+		ds    *dataset.Dataset
+		boxes int
+	}{
+		{"power2d", dataset.Power(dataset.DefaultPowerSize, 1).Project([]int{0, 1}), 6000},
+		{"forest5d", dataset.Forest(dataset.DefaultForestSize, 1).Project([]int{0, 1, 2, 3, 4}), 5400},
+	}
+	for _, set := range sets {
+		g := workload.NewGenerator(set.ds, 5)
+		boxes := make([]geom.Box, set.boxes)
+		for i, z := range g.Generate(spec, set.boxes) {
+			boxes[i] = z.R.(geom.Box)
 		}
+		tree := g.Tree()
+		b.Run("index/"+set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range boxes {
+					labelSink += tree.Count(q)
+				}
+			}
+		})
+		b.Run("walk/"+set.name, func(b *testing.B) {
+			tree.Count(walkBox{boxes[0]}) // builds the walk's tree
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range boxes {
+					labelSink += tree.Count(walkBox{q})
+				}
+			}
+		})
+		b.Run("brute/"+set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range boxes {
+					labelSink += kdtree.BruteCount(set.ds.Points, q)
+				}
+			}
+		})
+		b.Run("build/"+set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				labelSink += kdtree.Build(set.ds.Points).Count(boxes[0])
+			}
+		})
+		b.Run("walkbuild/"+set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				labelSink += kdtree.Build(set.ds.Points).Count(walkBox{boxes[0]})
+			}
+		})
 	}
 }
 

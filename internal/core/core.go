@@ -25,8 +25,18 @@ type LabeledQuery struct {
 	Sel float64
 }
 
-// ErrNonFiniteSelectivity is what CheckFiniteSelectivities wraps.
+// ErrNonFiniteSelectivity is what CheckFiniteSelectivity and
+// CheckFiniteSelectivities wrap.
 var ErrNonFiniteSelectivity = errors.New("selectivity is not finite")
+
+// CheckFiniteSelectivity returns an error when sel is NaN or ±Inf, and
+// nil otherwise. The streaming trainers call it on each observation.
+func CheckFiniteSelectivity(sel float64) error {
+	if math.IsNaN(sel) || math.IsInf(sel, 0) {
+		return fmt.Errorf("%w (%v)", ErrNonFiniteSelectivity, sel)
+	}
+	return nil
+}
 
 // CheckFiniteSelectivities returns an error naming the first sample whose
 // selectivity is NaN or ±Inf, or nil when every label is finite. Every
@@ -37,8 +47,8 @@ var ErrNonFiniteSelectivity = errors.New("selectivity is not finite")
 // poisons the least-squares fit of Equation 8.
 func CheckFiniteSelectivities(samples []LabeledQuery) error {
 	for i, z := range samples {
-		if math.IsNaN(z.Sel) || math.IsInf(z.Sel, 0) {
-			return fmt.Errorf("training sample %d: %w (%v)", i, ErrNonFiniteSelectivity, z.Sel)
+		if err := CheckFiniteSelectivity(z.Sel); err != nil {
+			return fmt.Errorf("training sample %d: %w", i, err)
 		}
 	}
 	return nil

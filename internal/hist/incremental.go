@@ -2,6 +2,7 @@ package hist
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -70,8 +71,13 @@ func NewIncremental(dim int, opts IncrementalOptions) (*Incremental, error) {
 
 // Observe ingests one feedback record (query, observed selectivity),
 // refining the bucket structure immediately and re-fitting weights on the
-// configured cadence.
+// configured cadence. A selectivity that is NaN or ±Inf is refused with
+// an error wrapping core.ErrNonFiniteSelectivity, and the state is left
+// as it was.
 func (inc *Incremental) Observe(q geom.Range, sel float64) error {
+	if err := core.CheckFiniteSelectivity(sel); err != nil {
+		return fmt.Errorf("hist: observation %d: %w", len(inc.samples), err)
+	}
 	rvol := q.IntersectBoxVolume(geom.UnitCube(inc.dim))
 	inc.tree.Insert(q, sel, rvol, inc.tau)
 	inc.samples = append(inc.samples, core.LabeledQuery{R: q, Sel: sel})

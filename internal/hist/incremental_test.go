@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -162,5 +163,53 @@ func TestIncrementalBucketCap(t *testing.T) {
 	}
 	if inc.NumBuckets() > 30 {
 		t.Fatalf("bucket cap exceeded: %d", inc.NumBuckets())
+	}
+}
+
+// TestIncrementalRefusesNonFiniteSelectivity: a NaN or infinite
+// observation is refused and leaves no trace. Before the check, one NaN
+// split every node its query touched until the bucket cap stopped it,
+// and the refits that followed returned no error.
+func TestIncrementalRefusesNonFiniteSelectivity(t *testing.T) {
+	ds := dataset.Power(3000, 4).Project([]int{0, 1})
+	g := workload.NewGenerator(ds, 17)
+	train := g.Generate(workload.Spec{Class: workload.OrthogonalRange, Centers: workload.DataDriven}, 40)
+	opts := IncrementalOptions{Tau: 0.01, MaxBuckets: 300, RefitEvery: 4}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		inc, err := NewIncremental(2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewIncremental(2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, z := range train {
+			if i == 17 {
+				err := inc.Observe(z.R, bad)
+				if !errors.Is(err, core.ErrNonFiniteSelectivity) {
+					t.Fatalf("selectivity %v: err %v", bad, err)
+				}
+				if inc.Observed() != twin.Observed() || inc.NumBuckets() != twin.NumBuckets() {
+					t.Fatalf("selectivity %v: observed %d with %d buckets, twin %d with %d",
+						bad, inc.Observed(), inc.NumBuckets(), twin.Observed(), twin.NumBuckets())
+				}
+			}
+			if err := inc.Observe(z.R, z.Sel); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Observe(z.R, z.Sel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := inc.Snapshot(), twin.Snapshot()
+		if inc.NumBuckets() != twin.NumBuckets() || len(got.Weights) != len(want.Weights) {
+			t.Fatalf("selectivity %v: %d buckets, twin %d", bad, inc.NumBuckets(), twin.NumBuckets())
+		}
+		for j := range got.Weights {
+			if math.Float64bits(got.Weights[j]) != math.Float64bits(want.Weights[j]) {
+				t.Fatalf("selectivity %v: weight %d = %v, twin %v", bad, j, got.Weights[j], want.Weights[j])
+			}
+		}
 	}
 }

@@ -1,15 +1,19 @@
-// Package kdtree provides a kd-tree over data points in [0,1]^d with pruned
-// range counting for arbitrary geom.Range queries.
+// Package kdtree counts the data points in [0,1]^d inside arbitrary
+// geom.Range queries, exactly.
 //
 // It is the substrate that labels training and test workloads with exact
 // selectivities: counting the data points inside a query range, divided by
-// the dataset size. Pruning uses only the ContainsBox / IntersectsBox
-// predicates of the range, so the same tree serves orthogonal ranges,
-// halfspaces, balls, and semi-algebraic ranges alike.
+// the dataset size. Axis-aligned boxes, the paper's orthogonal ranges, are
+// counted from a per-dimension rank index (rankindex.go). Every other
+// range is counted by a pruned kd-tree walk. Pruning uses only the
+// ContainsBox / IntersectsBox predicates of the range, so the same walk
+// serves halfspaces, balls, and semi-algebraic ranges alike.
 package kdtree
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -17,11 +21,20 @@ import (
 // leafSize is the maximum number of points stored in a leaf node.
 const leafSize = 32
 
-// Tree is an immutable kd-tree over a fixed point set.
+// Tree counts points of a fixed point set. Boxes go to the rank index.
+// Other ranges, and boxes the index refuses, walk a kd-tree. Each
+// structure is built on the first count that needs it, so labeling that
+// uses only boxes never builds the kd-tree, and labeling that uses no
+// box never builds the index. A Tree is safe for concurrent use.
 type Tree struct {
-	dim  int
-	root *node
-	n    int
+	dim    int
+	points []geom.Point // the caller's points; the walk sorts a copy
+
+	idxOnce sync.Once  // builds idx
+	idx     *rankIndex // nil until a box is counted, or when a coordinate is NaN
+
+	walkOnce sync.Once // builds root
+	root     *node
 }
 
 type node struct {
@@ -33,19 +46,15 @@ type node struct {
 	lo, hi *node
 }
 
-// Build constructs a kd-tree over the given points (which are not copied;
-// callers must not mutate them afterwards). All points must share the same
-// dimensionality.
+// Build returns a Tree over the given points, which are not copied:
+// callers must not mutate them afterwards, since the index and the
+// kd-tree are built from them on first use. All points must share the
+// same dimensionality.
 func Build(points []geom.Point) *Tree {
 	if len(points) == 0 {
 		return &Tree{}
 	}
-	d := len(points[0])
-	pts := make([]geom.Point, len(points))
-	copy(pts, points)
-	t := &Tree{dim: d, n: len(points)}
-	t.root = build(pts, 0, d)
-	return t
+	return &Tree{dim: len(points[0]), points: points}
 }
 
 func boundingBox(points []geom.Point, d int) geom.Box {
@@ -110,13 +119,25 @@ func build(points []geom.Point, depth, d int) *node {
 }
 
 // Len returns the number of indexed points.
-func (t *Tree) Len() int { return t.n }
+func (t *Tree) Len() int { return len(t.points) }
 
-// Count returns the number of indexed points inside the range.
+// Count returns the number of indexed points inside the range. It panics
+// when the range's dimension is not the points' (an empty tree counts 0
+// for any range).
 func (t *Tree) Count(r geom.Range) int {
-	if t.root == nil {
+	if len(t.points) == 0 {
 		return 0
 	}
+	if r.Dim() != t.dim {
+		panic("kdtree: Tree.Count dimension mismatch")
+	}
+	if b, ok := r.(geom.Box); ok {
+		t.idxOnce.Do(func() { t.idx = newRankIndex(t.points, t.dim) })
+		if t.idx != nil {
+			return t.idx.count(b)
+		}
+	}
+	t.walkOnce.Do(func() { t.root = build(slices.Clone(t.points), 0, t.dim) })
 	return countNode(t.root, r)
 }
 
@@ -142,14 +163,14 @@ func countNode(nd *node, r geom.Range) int {
 // Selectivity returns Count(r)/Len(), the exact selectivity of the range on
 // the indexed dataset — the ground-truth labels of the paper's workloads.
 func (t *Tree) Selectivity(r geom.Range) float64 {
-	if t.n == 0 {
+	if len(t.points) == 0 {
 		return 0
 	}
-	return float64(t.Count(r)) / float64(t.n)
+	return float64(t.Count(r)) / float64(len(t.points))
 }
 
-// BruteCount is the reference O(n) implementation used by tests and the
-// labeling ablation benchmark.
+// BruteCount is the reference O(n) implementation used by tests and by
+// BenchmarkLabel's brute arm.
 func BruteCount(points []geom.Point, r geom.Range) int {
 	c := 0
 	for _, p := range points {

@@ -140,6 +140,15 @@ func TestDuplicatePoints(t *testing.T) {
 	if got := tr.Count(q); got != want {
 		t.Fatalf("duplicate points: kd count %d != brute %d", got, want)
 	}
+	// Boxes go to the rank index; walkBox and a ball build and walk the
+	// kd-tree over the duplicates.
+	if got := tr.Count(walkBox{q}); got != want {
+		t.Fatalf("duplicate points: kd walk count %d != brute %d", got, want)
+	}
+	ball := geom.NewBall(geom.Point{0.5, 0.5}, 0.01)
+	if got, want := tr.Count(ball), BruteCount(pts, ball); got != want {
+		t.Fatalf("duplicate points: kd ball count %d != brute %d", got, want)
+	}
 }
 
 func TestSelectivityFullRange(t *testing.T) {

@@ -9,7 +9,8 @@
 // random orientation. Categorical attributes receive equality predicates —
 // the query side covers exactly the category band of the center's category
 // (see dataset package docs). Labels are exact selectivities computed
-// against the dataset through a kd-tree.
+// against the dataset through kdtree.Tree: a rank index for boxes, a
+// kd-tree walk for the other classes.
 package workload
 
 import (
@@ -110,8 +111,10 @@ type Spec struct {
 const DefaultGaussStd = 0.167
 
 // Generator produces labeled queries against a fixed dataset projection.
-// It owns the kd-tree used for exact labeling, so build one Generator per
-// dataset and draw as many workloads from it as needed.
+// It owns the kdtree.Tree used for exact labeling (a rank index that
+// counts boxes and a kd-tree walk for every other range, each built on
+// first use), so build one Generator per dataset and draw as many
+// workloads from it as needed.
 type Generator struct {
 	ds   *dataset.Dataset
 	tree *kdtree.Tree
@@ -126,7 +129,7 @@ func NewGenerator(ds *dataset.Dataset, seed uint64) *Generator {
 // Dataset returns the generator's dataset.
 func (g *Generator) Dataset() *dataset.Dataset { return g.ds }
 
-// Tree exposes the labeling kd-tree (used by examples that need true
+// Tree exposes the labeling index (used by examples that need true
 // selectivities for evaluation).
 func (g *Generator) Tree() *kdtree.Tree { return g.tree }
 

@@ -79,6 +79,13 @@ go test -run 'TestOnlineDeterminism|TestDeterministicFold' ./internal/serve ./in
 # pair-per-entry kernels bit for bit, so no trained model changes.
 go test -count=1 -run 'TestSearchTauMatchesProbeBuilds|TestMinTauIsExactThreshold|TestOrderIndependence|TestSparseMatchesReferenceBits|TestSparseMatchesDense' ./internal/hist ./internal/quadtree ./internal/linalg
 go test -run '^$' -bench 'BenchmarkSearchTau$|BenchmarkSparseMatVec/' -benchtime 1x .
+# Labeling same-bits gates: every box count the rank index answers must
+# equal the kd walk's and brute force's (ties, signed zeros, NaNs,
+# inverted and unbounded boxes), and the lazy builds of the index and
+# the walk must stay race-free beside concurrent counts, so no label
+# changes.
+go test -race -count=1 -run 'TestRankIndexMatchesWalkAndBrute|TestConcurrentCounts' ./internal/kdtree
+go test -run '^$' -bench 'BenchmarkLabel/' -benchtime 1x .
 # Benchmark smoke: one iteration of the fig9 sweep under the Quick preset
 # plus one pass over the estimate-path kernels and the batched serving
 # endpoint, so a perf regression that breaks either harness is caught here
