@@ -220,19 +220,6 @@ func BenchmarkLabel(b *testing.B) {
 }
 
 // Micro-benchmarks of the hot paths underneath every experiment.
-func BenchmarkDesignMatrix2D(b *testing.B) {
-	train, _, _ := benchWorkload(b, 200)
-	tr := hist.New(2, 800)
-	m, err := tr.TrainHist(train[:50])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.DesignMatrixBoxes(train, m.Buckets)
-	}
-}
-
 func BenchmarkEstimate(b *testing.B) {
 	train, test, _ := benchWorkload(b, 200)
 	m, err := hist.New(2, 800).TrainHist(train)
@@ -307,6 +294,40 @@ func trainSizeWorkload(b *testing.B) ([]core.LabeledQuery, []quadtree.Sample) {
 	return train, qs
 }
 
+// trainSizeLeaves is QUADHIST's bucket set on trainSizeWorkload: the
+// quadtree's leaves under the train workload's 2,000-bucket cap.
+func trainSizeLeaves(qs []quadtree.Sample) []geom.Box {
+	return quadtree.BuildFromQueries(2, qs, hist.SearchTau(2, qs, 2000), quadtree.WithMaxLeaves(2000)).Leaves()
+}
+
+// BenchmarkDesignMatrix times design-matrix assembly at the train
+// workload's sizes and reports its bytes: QUADHIST's Equation 6 matrix
+// (2,000 Power-2D ranges by its about 2,000 quadtree leaves, 40% nonzero)
+// and PTSHIST's Equation 7 matrix (1,400 Forest-5D ranges by 4,000 sampled
+// points, 9% nonzero).
+func BenchmarkDesignMatrix(b *testing.B) {
+	b.Run("quadhist", func(b *testing.B) {
+		train, qs := trainSizeWorkload(b)
+		leaves := trainSizeLeaves(qs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.DesignMatrixBoxes(train, leaves)
+		}
+	})
+	b.Run("ptshist", func(b *testing.B) {
+		ds := dataset.Forest(dataset.DefaultForestSize, 1).Project([]int{0, 1, 2, 3, 4})
+		spec := workload.Spec{Class: workload.OrthogonalRange, Centers: workload.DataDriven}
+		train := workload.NewGenerator(ds, 4401002).Generate(spec, 1400)
+		pts := ptshist.New(5, 4000, 7).SamplePoints(train)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.DesignMatrixPoints(train, pts)
+		}
+	})
+}
+
 // BenchmarkSearchTau times Algorithm 2's threshold search for a cap of
 // 2,000 buckets at the train workload's size: the tau_search stage.
 func BenchmarkSearchTau(b *testing.B) {
@@ -323,26 +344,24 @@ func BenchmarkSearchTau(b *testing.B) {
 // vectors of FISTA's first step: uniform weights, then the residual.
 func BenchmarkSparseMatVec(b *testing.B) {
 	train, qs := trainSizeWorkload(b)
-	tree := quadtree.BuildFromQueries(2, qs, hist.SearchTau(2, qs, 2000), quadtree.WithMaxLeaves(2000))
-	a := core.DesignMatrixBoxes(train, tree.Leaves())
-	sp := linalg.NewSparse(a)
-	w := make([]float64, a.Cols)
+	sp := core.DesignMatrixBoxes(train, trainSizeLeaves(qs))
+	w := make([]float64, sp.Cols)
 	for j := range w {
-		w[j] = 1 / float64(a.Cols)
+		w[j] = 1 / float64(sp.Cols)
 	}
 	res := sp.MulVec(w)
 	for i, z := range train {
 		res[i] -= z.Sel
 	}
 	b.Run("mul", func(b *testing.B) {
-		y := make([]float64, a.Rows)
+		y := make([]float64, sp.Rows)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sp.MulVecInto(y, w)
 		}
 	})
 	b.Run("tmul", func(b *testing.B) {
-		g := make([]float64, a.Cols)
+		g := make([]float64, sp.Cols)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sp.TMulVecInto(g, res)

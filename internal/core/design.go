@@ -21,24 +21,22 @@ func designWorkers(m, n int) int {
 
 // DesignMatrixBoxes assembles the weight-estimation design matrix of
 // Equation 6: A[i][j] = vol(Bⱼ ∩ Rᵢ)/vol(Bⱼ) for box buckets Bⱼ and query
-// ranges Rᵢ. Zero-volume buckets contribute zero columns. Large matrices
-// are assembled in parallel (deterministically).
-func DesignMatrixBoxes(samples []LabeledQuery, buckets []geom.Box) *linalg.Matrix {
+// ranges Rᵢ. Zero-volume buckets contribute zero columns. The matrix is
+// built straight into sparse form, row by row, and large matrices are
+// assembled in parallel (deterministically).
+func DesignMatrixBoxes(samples []LabeledQuery, buckets []geom.Box) *linalg.Sparse {
 	return DesignMatrixBoxesWith(samples, buckets, designWorkers(len(samples), len(buckets)))
 }
 
 // DesignMatrixBoxesWith is DesignMatrixBoxes with an explicit worker count
 // (used by the parallelism ablation benchmark; 0 = pool default).
-func DesignMatrixBoxesWith(samples []LabeledQuery, buckets []geom.Box, workers int) *linalg.Matrix {
-	m, n := len(samples), len(buckets)
-	vols := make([]float64, n)
+func DesignMatrixBoxesWith(samples []LabeledQuery, buckets []geom.Box, workers int) *linalg.Sparse {
+	vols := make([]float64, len(buckets))
 	for j, b := range buckets {
 		vols[j] = b.Volume()
 	}
-	a := linalg.NewMatrix(m, n)
-	parallel.ForEachChunk(m, workers, 0, func(i int) {
+	return linalg.NewSparseRows(len(samples), len(buckets), workers, func(i int, row []float64) {
 		z := samples[i]
-		row := a.Row(i)
 		for j, b := range buckets {
 			if vols[j] == 0 || !z.R.IntersectsBox(b) {
 				continue
@@ -50,31 +48,26 @@ func DesignMatrixBoxesWith(samples []LabeledQuery, buckets []geom.Box, workers i
 			row[j] = z.R.IntersectBoxVolume(b) / vols[j]
 		}
 	})
-	return a
 }
 
 // DesignMatrixPoints assembles the discrete-distribution design matrix of
-// Equation 7: A[i][j] = 1(Bⱼ ∈ Rᵢ) for point buckets Bⱼ. Large matrices
-// are assembled in parallel (deterministically).
-func DesignMatrixPoints(samples []LabeledQuery, points []geom.Point) *linalg.Matrix {
+// Equation 7: A[i][j] = 1(Bⱼ ∈ Rᵢ) for point buckets Bⱼ, in sparse form.
+// Large matrices are assembled in parallel (deterministically).
+func DesignMatrixPoints(samples []LabeledQuery, points []geom.Point) *linalg.Sparse {
 	return DesignMatrixPointsWith(samples, points, designWorkers(len(samples), len(points)))
 }
 
 // DesignMatrixPointsWith is DesignMatrixPoints with an explicit worker
 // count (0 = pool default).
-func DesignMatrixPointsWith(samples []LabeledQuery, points []geom.Point, workers int) *linalg.Matrix {
-	m, n := len(samples), len(points)
-	a := linalg.NewMatrix(m, n)
-	parallel.ForEachChunk(m, workers, 0, func(i int) {
+func DesignMatrixPointsWith(samples []LabeledQuery, points []geom.Point, workers int) *linalg.Sparse {
+	return linalg.NewSparseRows(len(samples), len(points), workers, func(i int, row []float64) {
 		z := samples[i]
-		row := a.Row(i)
 		for j, p := range points {
 			if z.R.Contains(p) {
 				row[j] = 1
 			}
 		}
 	})
-	return a
 }
 
 // Selectivities extracts the label vector s of a training sample.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/linalg"
 	"repro/internal/rng"
 )
 
@@ -44,7 +47,7 @@ func TestDesignMatrixBoxesValues(t *testing.T) {
 		geom.NewBox(geom.Point{0.5, 0}, geom.Point{1, 1}),
 		geom.NewBox(geom.Point{0.25, 0}, geom.Point{0.75, 1}),
 	}
-	a := DesignMatrixBoxes([]LabeledQuery{{R: q, Sel: 0.4}}, buckets)
+	a := DesignMatrixBoxes([]LabeledQuery{{R: q, Sel: 0.4}}, buckets).Dense()
 	want := []float64{1, 0, 0.5}
 	for j, w := range want {
 		if got := a.At(0, j); got != w {
@@ -57,15 +60,15 @@ func TestDesignMatrixZeroVolumeBucket(t *testing.T) {
 	q := geom.UnitCube(2)
 	thin := geom.NewBox(geom.Point{0.5, 0}, geom.Point{0.5, 1})
 	a := DesignMatrixBoxes([]LabeledQuery{{R: q, Sel: 1}}, []geom.Box{thin})
-	if got := a.At(0, 0); got != 0 {
-		t.Fatalf("zero-volume bucket column = %v", got)
+	if a.NNZ() != 0 {
+		t.Fatalf("zero-volume bucket column holds %d entries", a.NNZ())
 	}
 }
 
 func TestDesignMatrixPointsValues(t *testing.T) {
 	q := geom.NewBall(geom.Point{0.5, 0.5}, 0.2)
 	pts := []geom.Point{{0.5, 0.5}, {0.9, 0.9}, {0.6, 0.5}}
-	a := DesignMatrixPoints([]LabeledQuery{{R: q, Sel: 0.1}}, pts)
+	a := DesignMatrixPoints([]LabeledQuery{{R: q, Sel: 0.1}}, pts).Dense()
 	want := []float64{1, 0, 1}
 	for j, w := range want {
 		if got := a.At(0, j); got != w {
@@ -83,10 +86,8 @@ func TestDesignMatrixParallelDeterminism(t *testing.T) {
 		seq := DesignMatrixBoxesWith(samples, buckets, 1)
 		for _, workers := range []int{2, 4, 8, 200} {
 			par := DesignMatrixBoxesWith(samples, buckets, workers)
-			for i := range seq.Data {
-				if seq.Data[i] != par.Data[i] {
-					t.Fatalf("d=%d workers=%d: cell %d differs", d, workers, i)
-				}
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("d=%d workers=%d: matrices differ", d, workers)
 			}
 		}
 	}
@@ -105,10 +106,73 @@ func TestDesignMatrixPointsParallelDeterminism(t *testing.T) {
 	}
 	seq := DesignMatrixPointsWith(samples, pts, 1)
 	for _, workers := range []int{2, 5, 64} {
-		par := DesignMatrixPointsWith(samples, pts, workers)
-		for i := range seq.Data {
-			if seq.Data[i] != par.Data[i] {
-				t.Fatalf("workers=%d: cell %d differs", workers, i)
+		if par := DesignMatrixPointsWith(samples, pts, workers); !reflect.DeepEqual(seq, par) {
+			t.Fatalf("workers=%d: matrices differ", workers)
+		}
+	}
+}
+
+// TestDesignMatrixMemory: assembly never allocates the dense m×n matrix.
+// At a design matrix's sparsity (small queries over a 32×32 grid of
+// buckets, and over 2,000 points), the bytes it allocates stay under
+// twice the final sparse arrays plus one n-entry scratch row for each of
+// the row builder's blocks (at most four per worker), and under a
+// quarter of a dense float64 matrix's m·n·8.
+func TestDesignMatrixMemory(t *testing.T) {
+	r := rng.New(47)
+	samples := make([]LabeledQuery, 400)
+	for i := range samples {
+		c := geom.Point{r.Float64(), r.Float64()}
+		samples[i] = LabeledQuery{R: geom.BoxFromCenter(c, []float64{0.2 * r.Float64(), 0.2 * r.Float64()})}
+	}
+	var grid []geom.Box
+	for x := 0; x < 32; x++ {
+		for y := 0; y < 32; y++ {
+			grid = append(grid, geom.NewBox(geom.Point{float64(x) / 32, float64(y) / 32}, geom.Point{float64(x+1) / 32, float64(y+1) / 32}))
+		}
+	}
+	points := make([]geom.Point, 2000)
+	for j := range points {
+		points[j] = geom.Point{r.Float64(), r.Float64()}
+	}
+	for _, c := range []struct {
+		name     string
+		n        int
+		assemble func(workers int) *linalg.Sparse
+	}{
+		{"boxes", len(grid), func(workers int) *linalg.Sparse { return DesignMatrixBoxesWith(samples, grid, workers) }},
+		{"points", len(points), func(workers int) *linalg.Sparse { return DesignMatrixPointsWith(samples, points, workers) }},
+	} {
+		m, n := len(samples), c.n
+		for _, workers := range []int{1, 2} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a := c.assemble(workers)
+			runtime.ReadMemStats(&after)
+			alloc := int(after.TotalAlloc - before.TotalAlloc)
+			// The final arrays: row and column pointers, a CSR and a CSC
+			// int32 index per exact 1, and a CSR and a CSC (int32,
+			// float64) pair per other entry.
+			ones, others := 0, 0
+			for _, v := range a.Dense().Data {
+				switch {
+				case v == 0:
+				case v == 1:
+					ones++
+				default:
+					others++
+				}
+			}
+			final := 8*(m+1) + 8*(n+1) + 8*ones + 24*others
+			t.Logf("%s, %d workers: %dx%d, %d exact 1s, %d other entries: allocated %d B, final arrays %d B",
+				c.name, workers, m, n, ones, others, alloc, final)
+			if bound := 2*final + 4*workers*n*8; alloc >= bound {
+				t.Errorf("%s, %d workers: assembly allocated %d B, over 2 × %d B final + scratch rows = %d B",
+					c.name, workers, alloc, final, bound)
+			}
+			if dense := m * n * 8; alloc >= dense/4 {
+				t.Errorf("%s, %d workers: assembly allocated %d B, over a quarter of the %d B dense matrix",
+					c.name, workers, alloc, dense)
 			}
 		}
 	}

@@ -234,15 +234,12 @@ func (t *Trainer) TrainMixture(samples []core.LabeledQuery) (*Model, error) {
 }
 
 // designMatrix assembles A[i][k] = mass of component k inside query i.
-func designMatrix(samples []core.LabeledQuery, comps []Component) *linalg.Matrix {
-	a := linalg.NewMatrix(len(samples), len(comps))
-	for i, z := range samples {
-		row := a.Row(i)
+func designMatrix(samples []core.LabeledQuery, comps []Component) *linalg.Sparse {
+	return linalg.NewSparseRows(len(samples), len(comps), 1, func(i int, row []float64) {
 		for k, c := range comps {
-			row[k] = c.Mass(z.R)
+			row[k] = c.Mass(samples[i].R)
 		}
-	}
-	return a
+	})
 }
 
 var _ core.Trainer = (*Trainer)(nil)

@@ -11,6 +11,7 @@
 package kdtree
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -33,8 +34,12 @@ type Tree struct {
 	idxOnce sync.Once  // builds idx
 	idx     *rankIndex // nil until a box is counted, or when a coordinate is NaN
 
-	walkOnce sync.Once // builds root
-	root     *node
+	walkOnce sync.Once // builds root and nanPoints
+	root     *node     // the kd-tree over the points without a NaN; nil if none
+	// nanPoints are the points holding a NaN coordinate. They stay out of
+	// the kd nodes, whose bounding boxes cannot bound them, and every walk
+	// tests each one with the range's own Contains, as BruteCount does.
+	nanPoints []geom.Point
 }
 
 type node struct {
@@ -137,8 +142,33 @@ func (t *Tree) Count(r geom.Range) int {
 			return t.idx.count(b)
 		}
 	}
-	t.walkOnce.Do(func() { t.root = build(slices.Clone(t.points), 0, t.dim) })
-	return countNode(t.root, r)
+	t.walkOnce.Do(t.buildWalk)
+	c := 0
+	if t.root != nil {
+		c = countNode(t.root, r)
+	}
+	for _, p := range t.nanPoints {
+		if r.Contains(p) {
+			c++
+		}
+	}
+	return c
+}
+
+// buildWalk builds the kd-tree over a copy of the points that hold no NaN
+// coordinate and sets the others aside in nanPoints.
+func (t *Tree) buildWalk() {
+	noNaN := make([]geom.Point, 0, len(t.points))
+	for _, p := range t.points {
+		if slices.ContainsFunc(p, math.IsNaN) {
+			t.nanPoints = append(t.nanPoints, p)
+		} else {
+			noNaN = append(noNaN, p)
+		}
+	}
+	if len(noNaN) > 0 {
+		t.root = build(noNaN, 0, t.dim)
+	}
 }
 
 func countNode(nd *node, r geom.Range) int {

@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -148,6 +149,61 @@ func TestDuplicatePoints(t *testing.T) {
 	ball := geom.NewBall(geom.Point{0.5, 0.5}, 0.01)
 	if got, want := tr.Count(ball), BruteCount(pts, ball); got != want {
 		t.Fatalf("duplicate points: kd ball count %d != brute %d", got, want)
+	}
+}
+
+// TestWalkCountsNaNPointsAsBruteForce: on point sets holding NaN
+// coordinates, the kd walk counts as BruteCount does, for boxes through
+// the walk, balls and halfspaces. A box admits a NaN coordinate on every
+// side and a ball or halfspace rejects one, so no bounding box can prune
+// such a point for both. A set holds one NaN point at random, up to 20,
+// only NaN points, or one NaN point first.
+func TestWalkCountsNaNPointsAsBruteForce(t *testing.T) {
+	r := rng.New(15)
+	for tree := 0; tree < 200; tree++ {
+		d := 2 + tree%2
+		n := 200
+		if tree%10 == 9 {
+			n = 5
+		}
+		pts := randomPoints(r, n, d)
+		var nanAt []int
+		switch tree % 4 {
+		case 0:
+			nanAt = []int{r.IntN(n)}
+		case 1:
+			for k := 1 + r.IntN(20); k > 0; k-- {
+				nanAt = append(nanAt, r.IntN(n))
+			}
+		case 2:
+			for i := range pts {
+				nanAt = append(nanAt, i)
+			}
+		case 3:
+			nanAt = []int{0}
+		}
+		for _, i := range nanAt {
+			pts[i][r.IntN(d)] = math.NaN()
+		}
+		tr := Build(pts)
+		for q := 0; q < 20; q++ {
+			c := make(geom.Point, d)
+			sides := make([]float64, d)
+			a := make(geom.Point, d)
+			for i := range c {
+				c[i], sides[i], a[i] = r.Float64(), r.Float64(), 2*r.Float64()-1
+			}
+			for _, rg := range []geom.Range{
+				walkBox{geom.BoxFromCenter(c, sides)},
+				geom.NewBall(c, 0.3),
+				geom.NewHalfspace(a, 2*r.Float64()-1),
+			} {
+				if got, want := tr.Count(rg), BruteCount(pts, rg); got != want {
+					t.Fatalf("tree %d (NaN at %v of %d points, d=%d), %T %v: walk %d, brute force %d",
+						tree, nanAt, n, d, rg, rg, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -115,30 +115,77 @@ func TestMatVecParallelIdentical(t *testing.T) {
 	}
 }
 
-func TestSparseMatchesDense(t *testing.T) {
-	a := randMatrix(80, 130, 0.6, 41)
-	s := NewSparse(a)
-	if s.NNZ() == 0 || s.Density() >= 1 {
-		t.Fatalf("unexpected sparsity: nnz=%d density=%v", s.NNZ(), s.Density())
-	}
-	x := make([]float64, 130)
-	xr := make([]float64, 80)
-	r := testRNG(43)
-	for i := range x {
-		x[i] = r.next()
-		if i%3 == 0 {
-			x[i] = 0 // exercise the column-skip path
+// densityMatrix is a rows×cols matrix whose entries are nonzero with
+// probability density, half of them exact 1s and half fractions, except
+// row 1 and column 2, which hold no zero. Its zeros are +0 or −0 at
+// random.
+func densityMatrix(rows, cols int, density float64, seed uint64) *Matrix {
+	r := testRNG(seed)
+	a := NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			switch {
+			case i != 1 && j != 2 && r.next()+0.5 >= density:
+				if r.next() < 0 {
+					a.Set(i, j, math.Copysign(0, -1))
+				}
+			case r.next() < 0:
+				a.Set(i, j, 1)
+			default:
+				a.Set(i, j, r.next()+0.5+1e-3)
+			}
 		}
 	}
-	for i := range xr {
-		xr[i] = r.next()
+	return a
+}
+
+// signedVector holds 0, −0, −1 and fractions of either sign from 1e-3 to
+// 1e2.
+func signedVector(n int, r *testRNG) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		switch u := r.next() + 0.5; {
+		case u < 0.1:
+		case u < 0.2:
+			x[i] = math.Copysign(0, -1)
+		case u < 0.3:
+			x[i] = -1
+		default:
+			x[i] = (r.next() + 0.5 + 1e-3) * math.Pow(10, float64(int((u-0.3)*10)-3))
+			if r.next() < 0 {
+				x[i] = -x[i]
+			}
+		}
 	}
-	if d := maxAbsDiff(s.MulVec(x), a.MulVecWith(x, 1)); d > 1e-12 {
-		t.Fatalf("Sparse.MulVec differs by %g", d)
-	}
-	// TMulVec shares the dense summation order exactly.
-	if d := maxAbsDiff(s.TMulVec(xr), a.TMulVecWith(xr, 1)); d != 0 {
-		t.Fatalf("Sparse.TMulVec differs by %g", d)
+	return x
+}
+
+// TestSparseMatchesDense: both sparse products have the bits of the dense
+// kernels, serial and parallel, at densities from 0.1 to 1. A zero entry
+// the sparse kernels skip would add ±0 to a dense sum that starts at +0
+// and is never −0, and every other product is added in the same order.
+func TestSparseMatchesDense(t *testing.T) {
+	for _, shape := range [][2]int{{6, 7}, {40, 90}, {130, 60}, {500, 700}} {
+		rows, cols := shape[0], shape[1]
+		for _, density := range []float64{0.1, 0.4, 0.75, 0.9, 1} {
+			a := densityMatrix(rows, cols, density, uint64(rows*cols)+uint64(density*10))
+			s := sparseOf(a)
+			r := testRNG(uint64(rows + cols))
+			for trial := 0; trial < 3; trial++ {
+				x, xr := signedVector(cols, &r), signedVector(rows, &r)
+				y, yt := s.MulVec(x), s.TMulVec(xr)
+				for _, workers := range []int{1, 2, 7} {
+					if !sameBits(y, a.MulVecWith(x, workers)) {
+						t.Fatalf("%dx%d density %v trial %d: Sparse.MulVec differs from the dense kernel on %d workers",
+							rows, cols, density, trial, workers)
+					}
+					if !sameBits(yt, a.TMulVecWith(xr, workers)) {
+						t.Fatalf("%dx%d density %v trial %d: Sparse.TMulVec differs from the dense kernel on %d workers",
+							rows, cols, density, trial, workers)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
-// Package linalg provides the dense linear-algebra kernel used by the
-// weight-estimation solvers: matrices in row-major layout, Householder QR
-// least squares, Cholesky factorization, and triangular solves. It is
-// deliberately small — just what Lawson–Hanson NNLS, KKT systems, and the
-// simplex LP solver require — but numerically careful (column pivoting is
-// unnecessary for our well-scaled systems; Householder reflections are).
+// Package linalg provides the linear-algebra kernel used by the
+// weight-estimation solvers: dense matrices in row-major layout,
+// Householder QR least squares, Cholesky factorization, and triangular
+// solves, plus Sparse, the CSR+CSC form design matrices are built in
+// (sparse.go). It is deliberately small — just what FISTA, Lawson–Hanson
+// NNLS, KKT systems, and the simplex LP solver require — but numerically
+// careful (column pivoting is unnecessary for our well-scaled systems;
+// Householder reflections are).
 package linalg
 
 import (

@@ -1,11 +1,18 @@
 package linalg
 
-// Sparse is a read-only compressed view of a Matrix, stored in both
-// CSR (row-major) and CSC (column-major) form. Design matrices are the
+import (
+	"math"
+
+	"repro/internal/parallel"
+)
+
+// Sparse is a read-only compressed matrix, stored in both CSR
+// (row-major) and CSC (column-major) form. Design matrices are the
 // motivating use: a range query intersects only the buckets near it, so
-// the Equation 6/7 matrices are typically well under half dense, and
-// FISTA (solver.SimplexPGDStats) spends almost all its time in A·x and
-// Aᵀ·x products over them.
+// the Equation 6/7 matrices are typically well under half dense. They are
+// built straight into this form, row by row (NewSparseRows), and FISTA
+// (solver.SimplexPGDStats) spends almost all its time in A·x and Aᵀ·x
+// products over them.
 //
 // Most stored entries are exactly 1: a bucket wholly inside a query
 // (Equation 6), or a point inside it (Equation 7, where every entry is).
@@ -43,11 +50,84 @@ type Sparse struct {
 // bare indices.
 func isOneEqual(v float64) bool { return v == 1 }
 
-// NewSparse compresses a into CSR+CSC form. The input is not retained.
-func NewSparse(a *Matrix) *Sparse {
-	m, n := a.Rows, a.Cols
+// sparseRow is one row's stored entries: idx holds its exact-1 columns,
+// then the columns of its other entries, whose values are val.
+type sparseRow struct {
+	idx []int32
+	val []float64
+}
+
+// ones returns the row's exact-1 columns.
+func (r sparseRow) ones() []int32 { return r.idx[:len(r.idx)-len(r.val)] }
+
+// others returns the columns of the row's other entries.
+func (r sparseRow) others() []int32 { return r.idx[len(r.idx)-len(r.val):] }
+
+// NewSparseRows builds an m×n Sparse row by row, without ever holding the
+// m×n dense matrix: fill(i, row) writes row i into row, a zeroed scratch
+// row of n entries. Each row is compressed as it is filled: zeros (±0) are
+// skipped, exact 1s kept as bare indices, anything else as an (index,
+// value) pair; the scratch row is zeroed again for the next row.
+//
+// Rows fan out over up to `workers` goroutines (0 = the pool default) in
+// contiguous blocks, each with its own scratch row, so fill must be safe
+// to call concurrently for different rows. Every row lands in its own
+// slot, and the rows are concatenated in order at their exact size, so
+// the result does not depend on the worker count. It panics when the
+// matrix has more stored entries than an int32 index can address.
+func NewSparseRows(m, n, workers int, fill func(i int, row []float64)) *Sparse {
+	if m < 0 || n < 0 {
+		panic("linalg: negative matrix dimension")
+	}
+	rows := make([]sparseRow, m)
+	// One block when serial; else four per worker, claimed one at a
+	// time, so a block of costly rows cannot hold the others back.
+	blocks := min(m, 1)
+	if w := parallel.Workers(workers); w > 1 {
+		blocks = min(m, 4*w)
+	}
+	parallel.ForEachChunk(blocks, workers, 1, func(b int) {
+		scratch := make([]float64, n)
+		for i := b * m / blocks; i < (b+1)*m/blocks; i++ {
+			fill(i, scratch)
+			rows[i] = compressRow(scratch)
+		}
+	})
 	ones, others := 0, 0
-	for _, v := range a.Data {
+	for _, r := range rows {
+		ones += len(r.ones())
+		others += len(r.val)
+	}
+	checkInt32Index(n, ones+others)
+	s := &Sparse{
+		Rows: m, Cols: n,
+		rp1: make([]int32, m+1), ci1: make([]int32, 0, ones),
+		rp: make([]int32, m+1), ci: make([]int32, 0, others), cv: make([]float64, 0, others),
+	}
+	for i, r := range rows {
+		s.ci1 = append(s.ci1, r.ones()...)
+		s.ci = append(s.ci, r.others()...)
+		s.cv = append(s.cv, r.val...)
+		s.rp1[i+1] = int32(len(s.ci1))
+		s.rp[i+1] = int32(len(s.ci))
+	}
+	s.buildCSC()
+	return s
+}
+
+// checkInt32Index panics unless every column index and every count of
+// stored entries fits the int32 indices Sparse keeps.
+func checkInt32Index(cols, nnz int) {
+	if cols > math.MaxInt32 || nnz > math.MaxInt32 {
+		panic("linalg: sparse matrix too large for int32 indices")
+	}
+}
+
+// compressRow returns row's stored entries at their exact size and zeroes
+// row: one pass counts them, a second copies them out.
+func compressRow(row []float64) sparseRow {
+	ones, others := 0, 0
+	for _, v := range row {
 		switch {
 		case v == 0:
 		case isOneEqual(v):
@@ -56,72 +136,94 @@ func NewSparse(a *Matrix) *Sparse {
 			others++
 		}
 	}
-	s := &Sparse{
-		Rows: m, Cols: n,
-		rp1: make([]int32, m+1), ci1: make([]int32, 0, ones),
-		rp: make([]int32, m+1), ci: make([]int32, 0, others), cv: make([]float64, 0, others),
-		cp1: make([]int32, n+1), ri1: make([]int32, ones),
-		cp: make([]int32, n+1), ri: make([]int32, others), rv: make([]float64, others),
-	}
-	// CSR pass (and per-column counts for the CSC pass).
-	colOnes := make([]int32, n)
-	colOthers := make([]int32, n)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			switch {
-			case v == 0:
-			case isOneEqual(v):
-				s.ci1 = append(s.ci1, int32(j))
-				colOnes[j]++
-			default:
-				s.ci = append(s.ci, int32(j))
-				s.cv = append(s.cv, v)
-				colOthers[j]++
-			}
+	r := sparseRow{idx: make([]int32, ones+others), val: make([]float64, others)}
+	o, k := 0, ones
+	for j, v := range row {
+		switch {
+		case v == 0:
+		case isOneEqual(v):
+			r.idx[o] = int32(j)
+			o++
+		default:
+			r.idx[k] = int32(j)
+			r.val[k-ones] = v
+			k++
 		}
-		s.rp1[i+1] = int32(len(s.ci1))
-		s.rp[i+1] = int32(len(s.ci))
 	}
-	// CSC pass: prefix-sum the counts, then scatter rows in ascending-i
-	// order so each column's entries are sorted by row.
+	clear(row)
+	return r
+}
+
+// buildCSC derives the CSC arrays from the CSR ones by a counting
+// scatter: count each column's entries into its pointer slot, prefix-sum
+// the counts, then scatter rows in ascending-i order, so each column's
+// entries are sorted by row, advancing column j's pointer as its cursor.
+// The cursors end one column ahead, so the pointers shift back by one.
+func (s *Sparse) buildCSC() {
+	n := s.Cols
+	s.cp1, s.ri1 = make([]int32, n+1), make([]int32, len(s.ci1))
+	s.cp, s.ri, s.rv = make([]int32, n+1), make([]int32, len(s.ci)), make([]float64, len(s.ci))
+	for _, j := range s.ci1 {
+		s.cp1[j+1]++
+	}
+	for _, j := range s.ci {
+		s.cp[j+1]++
+	}
 	for j := 0; j < n; j++ {
-		s.cp1[j+1] = s.cp1[j] + colOnes[j]
-		s.cp[j+1] = s.cp[j] + colOthers[j]
+		s.cp1[j+1] += s.cp1[j]
+		s.cp[j+1] += s.cp[j]
 	}
-	copy(colOnes, s.cp1[:n])
-	copy(colOthers, s.cp[:n])
-	for i := 0; i < m; i++ {
+	for i := 0; i < s.Rows; i++ {
 		for _, j := range s.ci1[s.rp1[i]:s.rp1[i+1]] {
-			s.ri1[colOnes[j]] = int32(i)
-			colOnes[j]++
+			s.ri1[s.cp1[j]] = int32(i)
+			s.cp1[j]++
 		}
 		for k := s.rp[i]; k < s.rp[i+1]; k++ {
 			j := s.ci[k]
-			at := colOthers[j]
+			at := s.cp[j]
 			s.ri[at] = int32(i)
 			s.rv[at] = s.cv[k]
-			colOthers[j] = at + 1
+			s.cp[j] = at + 1
 		}
 	}
-	return s
+	copy(s.cp1[1:], s.cp1[:n])
+	copy(s.cp[1:], s.cp[:n])
+	s.cp1[0], s.cp[0] = 0, 0
+}
+
+// ScatterRow writes row i's stored entries into dst (length Cols) and
+// leaves dst's other entries as they are.
+func (s *Sparse) ScatterRow(i int, dst []float64) {
+	if len(dst) != s.Cols {
+		panic("linalg: Sparse.ScatterRow length mismatch")
+	}
+	for _, j := range s.ci1[s.rp1[i]:s.rp1[i+1]] {
+		dst[j] = 1
+	}
+	for k := s.rp[i]; k < s.rp[i+1]; k++ {
+		dst[s.ci[k]] = s.cv[k]
+	}
+}
+
+// Dense expands s into a dense Matrix, for the algorithms that work on
+// one: Lawson–Hanson NNLS, the LP simplex and QuickSel's exact QP.
+func (s *Sparse) Dense() *Matrix {
+	a := NewMatrix(s.Rows, s.Cols)
+	for i := 0; i < s.Rows; i++ {
+		s.ScatterRow(i, a.Row(i))
+	}
+	return a
 }
 
 // NNZ returns the number of stored (non-zero) entries.
 func (s *Sparse) NNZ() int { return len(s.ci1) + len(s.cv) }
 
-// Density returns NNZ / (Rows·Cols).
-func (s *Sparse) Density() float64 {
-	if s.Rows == 0 || s.Cols == 0 {
-		return 0
-	}
-	return float64(s.NNZ()) / (float64(s.Rows) * float64(s.Cols))
-}
-
 // MulVecInto computes y = A·x, zeroing y first. Columns with x[j] == 0
-// are skipped entirely. Accumulation is column-major, so individual sums
-// may differ from the dense kernel by rounding (never by magnitude); the
-// order is fixed, so results are deterministic.
+// are skipped entirely. For finite x the result has the dense kernel's
+// bits (Matrix.MulVec): each y[i] receives its row's products in
+// ascending column order, as the dense dot product adds them, and a
+// skipped zero entry would add ±0 to a sum that starts at +0, is never
+// −0, and so does not change.
 func (s *Sparse) MulVecInto(y, x []float64) {
 	if len(x) != s.Cols || len(y) != s.Rows {
 		panic("linalg: Sparse.MulVecInto shape mismatch")
@@ -154,7 +256,7 @@ func (s *Sparse) MulVec(x []float64) []float64 {
 
 // TMulVecInto computes y = Aᵀ·x, zeroing y first, in the dense kernel's
 // row-major summation order (rows with x[i] == 0 are skipped, exactly as
-// Matrix.TMulVec does).
+// Matrix.TMulVec does), so for finite x it has that kernel's bits.
 func (s *Sparse) TMulVecInto(y, x []float64) {
 	if len(x) != s.Rows || len(y) != s.Cols {
 		panic("linalg: Sparse.TMulVecInto shape mismatch")

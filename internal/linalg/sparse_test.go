@@ -2,8 +2,14 @@ package linalg
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
+
+// sparseOf compresses a dense matrix through the row builder.
+func sparseOf(a *Matrix) *Sparse {
+	return NewSparseRows(a.Rows, a.Cols, 1, func(i int, row []float64) { copy(row, a.Row(i)) })
+}
 
 // refSparse is Sparse as it was before exact-1 entries became bare
 // indices: every nonzero an (index, value) pair. Its kernels are the
@@ -124,7 +130,7 @@ func TestSparseMatchesReferenceBits(t *testing.T) {
 	for _, shape := range [][2]int{{6, 7}, {40, 90}, {130, 60}, {300, 300}} {
 		rows, cols := shape[0], shape[1]
 		a := designLike(rows, cols, uint64(rows*cols))
-		s, ref := NewSparse(a), newRefSparse(a)
+		s, ref := sparseOf(a), newRefSparse(a)
 		if s.NNZ() != len(ref.cv) {
 			t.Fatalf("%dx%d: NNZ %d, want %d", rows, cols, s.NNZ(), len(ref.cv))
 		}
@@ -150,5 +156,65 @@ func TestSparseMatchesReferenceBits(t *testing.T) {
 				t.Fatalf("%dx%d trial %d: TMulVec differs from the reference kernel", rows, cols, trial)
 			}
 		}
+	}
+}
+
+// TestNewSparseRows: building row by row gives the same matrix for every
+// worker count, holds exactly the nonzero entries, and Dense expands it
+// back bit for bit (a −0 entry comes back as +0). Each fill writes only
+// its row's nonzero entries, after checking that the scratch row it was
+// handed is all +0, so a row left dirty by the previous one would show.
+func TestNewSparseRows(t *testing.T) {
+	for _, shape := range [][2]int{{0, 5}, {5, 0}, {1, 1}, {6, 7}, {130, 60}, {300, 300}} {
+		rows, cols := shape[0], shape[1]
+		a := densityMatrix(rows, cols, 0.4, uint64(rows+cols))
+		nnz := 0
+		want := NewMatrix(rows, cols)
+		for k, v := range a.Data {
+			if v != 0 {
+				nnz++
+				want.Data[k] = v
+			}
+		}
+		fill := func(i int, row []float64) {
+			for j, v := range row {
+				if math.Float64bits(v) != 0 {
+					t.Errorf("%dx%d: row %d handed a scratch row holding %v at %d", rows, cols, i, v, j)
+				}
+			}
+			for j, v := range a.Row(i) {
+				if v != 0 {
+					row[j] = v
+				}
+			}
+		}
+		first := NewSparseRows(rows, cols, 1, fill)
+		if first.NNZ() != nnz {
+			t.Fatalf("%dx%d: NNZ %d, want %d", rows, cols, first.NNZ(), nnz)
+		}
+		if !sameBits(first.Dense().Data, want.Data) {
+			t.Fatalf("%dx%d: Dense does not give back the matrix", rows, cols)
+		}
+		for _, workers := range []int{2, 3, 64} {
+			if s := NewSparseRows(rows, cols, workers, fill); !reflect.DeepEqual(s, first) {
+				t.Fatalf("%dx%d: %d workers build another matrix than one", rows, cols, workers)
+			}
+		}
+	}
+}
+
+// TestCheckInt32Index: a matrix whose columns or stored entries an int32
+// cannot index is refused.
+func TestCheckInt32Index(t *testing.T) {
+	checkInt32Index(math.MaxInt32, math.MaxInt32)
+	for _, c := range [][2]int{{math.MaxInt32 + 1, 0}, {10, math.MaxInt32 + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("cols %d, nnz %d: no panic", c[0], c[1])
+				}
+			}()
+			checkInt32Index(c[0], c[1])
+		}()
 	}
 }

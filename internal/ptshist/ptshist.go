@@ -98,7 +98,7 @@ func (t *Trainer) TrainHist(samples []core.LabeledQuery) (*Model, error) {
 	var err error
 	var sst solver.Stats
 	if t.Opts.LInfObjective {
-		w, err = lp.MinimaxWeights(a, s)
+		w, err = lp.MinimaxWeights(a.Dense(), s)
 		sst.Method = "lp_minimax"
 	} else {
 		w, err = solver.WeightsWithStats(t.Opts.Solver, a, s, &sst)

@@ -113,7 +113,7 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 
 	if t.Opts.ExactQP {
 		stage = t.Log.Stage("solve")
-		w, err := exactQPWeights(a, s)
+		w, err := exactQPWeights(a.Dense(), s)
 		stage.End()
 		if err != nil {
 			return nil, err
@@ -121,18 +121,23 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 		t.Log.SetSolver("exact_qp", 0)
 		return &hist.Model{Buckets: buckets, Weights: w, Family: hist.QuickSel}, nil
 	}
-	// Regularization rows: √μ·(w − u) ≈ 0.
+	// Regularization rows: √μ·(w − u) ≈ 0, one diagonal row per bucket
+	// under the rows of A.
 	stage = t.Log.Stage("solve")
 	n := len(buckets)
 	m := len(samples)
-	aug := linalg.NewMatrix(m+n, n)
-	copy(aug.Data[:m*n], a.Data)
 	sqrtMu := math.Sqrt(mu)
+	aug := linalg.NewSparseRows(m+n, n, 1, func(i int, row []float64) {
+		if i < m {
+			a.ScatterRow(i, row)
+		} else {
+			row[i-m] = sqrtMu
+		}
+	})
 	u := 1 / float64(n)
 	rhs := make([]float64, m+n)
 	copy(rhs, s)
 	for j := 0; j < n; j++ {
-		aug.Set(m+j, j, sqrtMu)
 		rhs[m+j] = sqrtMu * u
 	}
 	var sst solver.Stats

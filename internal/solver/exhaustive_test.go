@@ -54,14 +54,14 @@ func TestSolversMatchExhaustiveGrid(t *testing.T) {
 		}
 		ref := gridSimplexMin(a, s, 60)
 
-		wN, err := SimplexWeights(a, s)
+		wN, err := SimplexWeights(sparseOf(a), s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o := objective(a, wN, s); o > ref+2e-3 {
 			t.Fatalf("trial %d: NNLS objective %v above grid optimum %v", trial, o, ref)
 		}
-		wP := SimplexPGD(a, s, 4000)
+		wP := SimplexPGD(sparseOf(a), s, 4000)
 		if o := objective(a, wP, s); o > ref+2e-3 {
 			t.Fatalf("trial %d: PGD objective %v above grid optimum %v", trial, o, ref)
 		}
@@ -83,7 +83,7 @@ func TestWeightsLargeScalePath(t *testing.T) {
 	for i := range s {
 		s[i] = r.Float64() * 0.5
 	}
-	w, err := Weights(a, s)
+	w, err := Weights(sparseOf(a), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPowerIterationDominatesProbes(t *testing.T) {
 		for i := range a.Data {
 			a.Data[i] = 2*r.Float64() - 1
 		}
-		lam := powerIterSq(a, 100)
+		lam := powerIterSq(sparseOf(a), 100)
 		for probe := 0; probe < 20; probe++ {
 			v := make([]float64, n)
 			for i := range v {

@@ -246,25 +246,28 @@ func solvePassiveQR(a *linalg.Matrix, b []float64, passive []bool) ([]float64, e
 // probability simplex. The sum-to-one constraint is enforced by appending
 // the strongly weighted row ρ·1ᵀw = ρ to the NNLS system — the exact
 // construction used with scipy's nnls in the paper's code — followed by an
-// exact renormalization of any residual drift.
-func SimplexWeights(a *linalg.Matrix, s []float64) ([]float64, error) {
+// exact renormalization of any residual drift. NNLS works on a dense
+// matrix, so A is expanded straight into that (m+1)×n augmented system.
+func SimplexWeights(a *linalg.Sparse, s []float64) ([]float64, error) {
 	return SimplexWeightsStats(a, s, nil)
 }
 
 // SimplexWeightsStats is SimplexWeights with an optional solver report.
-func SimplexWeightsStats(a *linalg.Matrix, s []float64, st *Stats) ([]float64, error) {
+func SimplexWeightsStats(a *linalg.Sparse, s []float64, st *Stats) ([]float64, error) {
 	m, n := a.Rows, a.Cols
 	if n == 0 {
 		return nil, errors.New("solver: no buckets")
 	}
+	aug := linalg.NewMatrix(m+1, n)
+	for i := 0; i < m; i++ {
+		a.ScatterRow(i, aug.Row(i))
+	}
 	// Scale ρ to dominate the data rows without destroying conditioning.
 	maxAbs := 0.0
-	for _, v := range a.Data {
+	for _, v := range aug.Data[:m*n] {
 		maxAbs = math.Max(maxAbs, math.Abs(v))
 	}
 	rho := 100 * math.Max(maxAbs, 1) * math.Sqrt(float64(m)+1)
-	aug := linalg.NewMatrix(m+1, n)
-	copy(aug.Data, a.Data)
 	lastRow := aug.Row(m)
 	for j := range lastRow {
 		lastRow[j] = rho

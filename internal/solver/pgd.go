@@ -7,15 +7,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// Sparse-compression policy for the iterative solvers: design matrices
-// (Equations 6/7) are mostly zeros because a range query only touches
-// nearby buckets, so above a minimum size we run the FISTA matvecs on a
-// compressed copy unless the matrix turns out to be nearly dense.
-const (
-	sparseMinElems   = 1 << 12
-	sparseMaxDensity = 0.75
-)
-
 // ProjectSimplex projects v onto the probability simplex
 // {w : w ≥ 0, Σw = 1} in Euclidean norm using the sort-based algorithm of
 // Duchi et al. (2008). The input is not modified.
@@ -62,46 +53,26 @@ func projectSimplexInto(dst, v, u []float64) {
 // SimplexPGD solves min ‖A·w − s‖² over the probability simplex with
 // Nesterov-accelerated projected gradient (FISTA). It is the large-scale
 // alternative to the Lawson–Hanson path: O(nnz) per iteration regardless
-// of the active-set size. The matrix is compressed once up front, with
-// its exact-1 entries stored as bare indices (linalg.Sparse).
-func SimplexPGD(a *linalg.Matrix, s []float64, iters int) []float64 {
+// of the active-set size, in linalg.Sparse's products, which have the
+// dense kernels' bits at every size and density.
+func SimplexPGD(a *linalg.Sparse, s []float64, iters int) []float64 {
 	return SimplexPGDStats(a, s, iters, nil)
 }
 
 // SimplexPGDStats is SimplexPGD with an optional report of how many FISTA
 // steps actually ran before the relative-improvement stop fired.
-func SimplexPGDStats(a *linalg.Matrix, s []float64, iters int, st *Stats) []float64 {
+func SimplexPGDStats(a *linalg.Sparse, s []float64, iters int, st *Stats) []float64 {
 	m, n := a.Rows, a.Cols
 	if n == 0 {
 		st.record("pgd", 0)
 		return nil
 	}
-	var sp *linalg.Sparse
-	if m*n >= sparseMinElems {
-		if c := linalg.NewSparse(a); c.Density() <= sparseMaxDensity {
-			sp = c
-		}
-	}
 	// All per-iteration storage is allocated once and reused.
 	ax := make([]float64, m)
-	mulVec := func(dst, x []float64) {
-		if sp != nil {
-			sp.MulVecInto(dst, x)
-			return
-		}
-		copy(dst, a.MulVec(x))
-	}
-	tMulVec := func(dst, x []float64) {
-		if sp != nil {
-			sp.TMulVecInto(dst, x)
-			return
-		}
-		copy(dst, a.TMulVec(x))
-	}
 
 	// Lipschitz constant of the gradient: 2·λmax(AᵀA), estimated by a
 	// few power iterations.
-	l := 2 * powerIterSqKernels(mulVec, tMulVec, m, n, 30)
+	l := 2 * powerIterSq(a, 30)
 	if l <= 0 {
 		l = 1
 	}
@@ -123,11 +94,11 @@ func SimplexPGDStats(a *linalg.Matrix, s []float64, iters int, st *Stats) []floa
 	for it := 0; it < iters; it++ {
 		ran = it + 1
 		// Gradient at y: 2Aᵀ(Ay − s).
-		mulVec(ax, y)
+		a.MulVecInto(ax, y)
 		for i := range ax {
 			ax[i] -= s[i]
 		}
-		tMulVec(g, ax)
+		a.TMulVecInto(g, ax)
 		for i := range cand {
 			cand[i] = y[i] - 2*step*g[i]
 		}
@@ -145,7 +116,7 @@ func SimplexPGDStats(a *linalg.Matrix, s []float64, iters int, st *Stats) []floa
 		// at, but loose enough to cut the tail of the iteration budget
 		// once FISTA has flattened.
 		if it%25 == 24 {
-			mulVec(ax, w)
+			a.MulVecInto(ax, w)
 			obj := 0.0
 			for i := range ax {
 				d := ax[i] - s[i]
@@ -161,28 +132,9 @@ func SimplexPGDStats(a *linalg.Matrix, s []float64, iters int, st *Stats) []floa
 	return w
 }
 
-// objective evaluates ‖A·w − s‖².
-func objective(a *linalg.Matrix, w, s []float64) float64 {
-	r := a.MulVec(w)
-	o := 0.0
-	for i := range r {
-		d := r[i] - s[i]
-		o += d * d
-	}
-	return o
-}
-
-// powerIterSq estimates λmax(AᵀA) = ‖A‖₂² by power iteration on the
-// dense matrix.
-func powerIterSq(a *linalg.Matrix, iters int) float64 {
-	mulVec := func(dst, x []float64) { copy(dst, a.MulVec(x)) }
-	tMulVec := func(dst, x []float64) { copy(dst, a.TMulVec(x)) }
-	return powerIterSqKernels(mulVec, tMulVec, a.Rows, a.Cols, iters)
-}
-
-// powerIterSqKernels is powerIterSq over caller-provided matvec kernels
-// (the FISTA path passes the sparse ones).
-func powerIterSqKernels(mulVec, tMulVec func(dst, x []float64), m, n, iters int) float64 {
+// powerIterSq estimates λmax(AᵀA) = ‖A‖₂² by power iteration.
+func powerIterSq(a *linalg.Sparse, iters int) float64 {
+	m, n := a.Rows, a.Cols
 	v := make([]float64, n)
 	for i := range v {
 		// Deterministic non-degenerate start vector.
@@ -192,8 +144,8 @@ func powerIterSqKernels(mulVec, tMulVec func(dst, x []float64), m, n, iters int)
 	w := make([]float64, n)
 	lambda := 0.0
 	for it := 0; it < iters; it++ {
-		mulVec(u, v)
-		tMulVec(w, u)
+		a.MulVecInto(u, v)
+		a.TMulVecInto(w, u)
 		norm := linalg.Norm2(w)
 		if norm == 0 {
 			return 0
@@ -217,7 +169,7 @@ const pgdIterations = 600
 // Weights solves the weight-estimation program of Eq. 8 choosing the
 // algorithm by problem size. Method selection can be forced with
 // WeightsWith.
-func Weights(a *linalg.Matrix, s []float64) ([]float64, error) {
+func Weights(a *linalg.Sparse, s []float64) ([]float64, error) {
 	return WeightsWithStats(MethodAuto, a, s, nil)
 }
 
@@ -235,13 +187,13 @@ const (
 
 // WeightsWith is Weights with an explicit method choice, used by the
 // solver-ablation benchmarks.
-func WeightsWith(method Method, a *linalg.Matrix, s []float64) ([]float64, error) {
+func WeightsWith(method Method, a *linalg.Sparse, s []float64) ([]float64, error) {
 	return WeightsWithStats(method, a, s, nil)
 }
 
 // WeightsWithStats is WeightsWith with an optional report of the resolved
 // method and its iteration count (st may be nil).
-func WeightsWithStats(method Method, a *linalg.Matrix, s []float64, st *Stats) ([]float64, error) {
+func WeightsWithStats(method Method, a *linalg.Sparse, s []float64, st *Stats) ([]float64, error) {
 	if method == MethodAuto {
 		if a.Cols <= nnlsSizeLimit {
 			method = MethodNNLS

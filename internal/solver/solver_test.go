@@ -8,6 +8,22 @@ import (
 	"repro/internal/rng"
 )
 
+// sparseOf compresses a dense test matrix into the form the solvers take.
+func sparseOf(a *linalg.Matrix) *linalg.Sparse {
+	return linalg.NewSparseRows(a.Rows, a.Cols, 1, func(i int, row []float64) { copy(row, a.Row(i)) })
+}
+
+// objective evaluates ‖A·w − s‖².
+func objective(a *linalg.Matrix, w, s []float64) float64 {
+	r := a.MulVec(w)
+	o := 0.0
+	for i := range r {
+		d := r[i] - s[i]
+		o += d * d
+	}
+	return o
+}
+
 func TestNNLSUnconstrainedCase(t *testing.T) {
 	// Positive exact solution: NNLS must match plain least squares.
 	a := linalg.FromRows([][]float64{{2, 0}, {0, 3}})
@@ -189,7 +205,7 @@ func TestSimplexWeightsRecoversExactDistribution(t *testing.T) {
 		{1, 1, 1},
 	})
 	s := []float64{0.5, 0.3, 1}
-	w, err := SimplexWeights(a, s)
+	w, err := SimplexWeights(sparseOf(a), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +230,7 @@ func TestSimplexWeightsAlwaysFeasible(t *testing.T) {
 		for i := range s {
 			s[i] = r.Float64()
 		}
-		w, err := SimplexWeights(a, s)
+		w, err := SimplexWeights(sparseOf(a), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,11 +260,11 @@ func TestSimplexPGDMatchesNNLSOnSmallProblems(t *testing.T) {
 		for i := range s {
 			s[i] = r.Float64()
 		}
-		wNNLS, err := SimplexWeights(a, s)
+		wNNLS, err := SimplexWeights(sparseOf(a), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wPGD := SimplexPGD(a, s, 3000)
+		wPGD := SimplexPGD(sparseOf(a), s, 3000)
 		oN := objective(a, wNNLS, s)
 		oP := objective(a, wPGD, s)
 		if oP > oN+1e-4*(1+oN) {
@@ -261,7 +277,7 @@ func TestWeightsWithMethods(t *testing.T) {
 	a := linalg.FromRows([][]float64{{1, 0}, {0, 1}})
 	s := []float64{0.7, 0.3}
 	for _, method := range []Method{MethodAuto, MethodNNLS, MethodPGD} {
-		w, err := WeightsWith(method, a, s)
+		w, err := WeightsWith(method, sparseOf(a), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,17 +74,24 @@ go test -race -run 'TestOnlineCOWRace|TestOnlineDeterminism' ./internal/serve
 go test -race ./internal/online
 go test -run 'TestOnlineDeterminism|TestDeterministicFold' ./internal/serve ./internal/online
 # Training same-bits gates: the threshold search from one best-first
-# quadtree pass must return the probe-build bisection's τ bit for bit, and
-# the sparse kernels that store exact 1s as bare indices must match the
-# pair-per-entry kernels bit for bit, so no trained model changes.
-go test -count=1 -run 'TestSearchTauMatchesProbeBuilds|TestMinTauIsExactThreshold|TestOrderIndependence|TestSparseMatchesReferenceBits|TestSparseMatchesDense' ./internal/hist ./internal/quadtree ./internal/linalg
-go test -run '^$' -bench 'BenchmarkSearchTau$|BenchmarkSparseMatVec/' -benchtime 1x .
+# quadtree pass must return the probe-build bisection's τ bit for bit; the
+# sparse kernels that store exact 1s as bare indices must match the
+# pair-per-entry kernels and the dense kernels (serial and parallel) bit
+# for bit at every density; and the row builder must give every worker
+# count the same matrix, so no trained model changes. The golden file of
+# trained weight bits covers every learner that fits Eq. 8; a deliberate
+# change to any weight shows there as a diff. Design-matrix assembly must
+# not allocate the dense m×n matrix.
+go test -count=1 -run 'TestSearchTauMatchesProbeBuilds|TestMinTauIsExactThreshold|TestOrderIndependence|TestSparseMatchesReferenceBits|TestSparseMatchesDense|TestNewSparseRows|TestDesignMatrixMemory' ./internal/hist ./internal/quadtree ./internal/linalg ./internal/core
+go test -count=1 -run 'TestTrainedWeightsGolden' .
+go test -run '^$' -bench 'BenchmarkSearchTau$|BenchmarkSparseMatVec/|BenchmarkDesignMatrix/' -benchtime 1x .
 # Labeling same-bits gates: every box count the rank index answers must
 # equal the kd walk's and brute force's (ties, signed zeros, NaNs,
-# inverted and unbounded boxes), and the lazy builds of the index and
-# the walk must stay race-free beside concurrent counts, so no label
-# changes.
-go test -race -count=1 -run 'TestRankIndexMatchesWalkAndBrute|TestConcurrentCounts' ./internal/kdtree
+# inverted and unbounded boxes), the walk must count points holding a NaN
+# as brute force does for every range class, and the lazy builds of the
+# index and the walk must stay race-free beside concurrent counts, so no
+# label changes.
+go test -race -count=1 -run 'TestRankIndexMatchesWalkAndBrute|TestWalkCountsNaNPointsAsBruteForce|TestConcurrentCounts' ./internal/kdtree
 go test -run '^$' -bench 'BenchmarkLabel/' -benchtime 1x .
 # Benchmark smoke: one iteration of the fig9 sweep under the Quick preset
 # plus one pass over the estimate-path kernels and the batched serving
