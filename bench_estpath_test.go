@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/hist"
+	"repro/internal/load"
 	"repro/internal/rng"
 	"repro/internal/serve"
 )
@@ -247,6 +248,44 @@ func BenchmarkServeEstimateAlloc(b *testing.B) {
 			run()
 		}
 	})
+}
+
+// BenchmarkServeFeedback is one 8-observation /v1/feedback request
+// through the full mux, its body rendered by internal/load as the load
+// harness renders it, reusing one request as BenchmarkServeEstimateAlloc
+// does. Online updates are off, so the request decodes, copies the
+// observations into the model's feedback ring and answers.
+func BenchmarkServeFeedback(b *testing.B) {
+	model := estPathModel(4096)
+	core.Accelerate(model)
+	s := serve.NewServer(serve.Options{})
+	s.Registry().Set(serve.DefaultModelName, "bench", model)
+	h := s.Handler()
+	qs, sels := load.EventFeedback(load.Event{Class: load.ClassFeedback, Seed: 1})
+	body := string(load.FeedbackBody("", qs, sels))
+
+	req := httptest.NewRequest("POST", "/v1/feedback", nil)
+	rd := strings.NewReader(body)
+	w := httptest.NewRecorder()
+	run := func() {
+		rd.Reset(body)
+		req.Body = readCloser{rd}
+		req.ContentLength = int64(len(body))
+		w.Body.Reset()
+		w.Code = http.StatusOK
+		h.ServeHTTP(w, req)
+	}
+	for i := 0; i < 8; i++ {
+		run()
+		if w.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 }
 
 // readCloser adapts a strings.Reader into a no-op-close request body.

@@ -26,8 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/wirebin"
 )
@@ -124,19 +122,14 @@ func (s *Server) processBinFrame(st *binState, typ byte, payload []byte) {
 	}
 	ranges := st.req.Ranges
 	if typ == wirebin.FrameFeedback {
-		// The feedback ring retains observations beyond the frame, so
-		// they must leave the arena; feedback frames are off the
-		// estimate fast path and may allocate.
-		batch := make([]core.LabeledQuery, len(ranges))
-		for i, q := range ranges {
-			batch[i] = core.LabeledQuery{R: cloneRange(q), Sel: st.req.Sels[i]}
-		}
-		entry, dropped, code := s.acceptFeedback(st.sc, st.req.Model, batch)
+		// Feedback frames are off the estimate fast path and may
+		// allocate: the observations leave the arena.
+		entry, dropped, code := s.acceptFeedback(st.sc, st.req.Model, ranges, st.req.Sels)
 		if code != 0 {
 			s.binFault(st, code, bstr(st.sc.out))
 			return
 		}
-		st.out = wirebin.AppendFeedbackResp(st.out, entry.Generation, len(batch), dropped)
+		st.out = wirebin.AppendFeedbackResp(st.out, entry.Generation, len(ranges), dropped)
 		return
 	}
 	errs := grow(&st.sc.qerrs, len(ranges))
@@ -160,21 +153,6 @@ func (s *Server) processBinFrame(st *binState, typ byte, payload []byte) {
 func (s *Server) binFault(st *binState, code byte, msg string) {
 	s.bin.errFrames.Inc()
 	st.out = wirebin.AppendErrorResp(st.out, code, msg)
-}
-
-// cloneRange deep-copies an arena-backed range so it can outlive the
-// frame that carried it.
-func cloneRange(r geom.Range) geom.Range {
-	clone := func(p geom.Point) geom.Point { return append(geom.Point(nil), p...) }
-	switch q := r.(type) {
-	case *geom.Box:
-		return geom.NewBox(clone(q.Lo), clone(q.Hi))
-	case *geom.Halfspace:
-		return geom.NewHalfspace(clone(q.A), q.B)
-	case *geom.Ball:
-		return geom.NewBall(clone(q.Center), q.Radius)
-	}
-	return r
 }
 
 // serveBinConn runs one connection's frame loop: read, process, buffer

@@ -101,19 +101,21 @@ func (s *Server) estimate(e *Entry, ranges []geom.Range, errs []error, sc *estim
 }
 
 // acceptFeedback is the one accept path for JSON and binary feedback:
-// admit the model, check every observation, buffer the batch in the
-// model's ring and fold it into the online updater. A refused batch
-// buffers nothing and reports its fault as admit does.
-func (s *Server) acceptFeedback(sc *estimateScratch, name []byte, batch []core.LabeledQuery) (e *Entry, dropped int, code byte) {
+// admit the model, check every observation, copy the batch out of the
+// request's arenas, buffer it in the model's ring and fold it into the
+// online updater. A refused batch buffers nothing and reports its fault
+// as admit does.
+func (s *Server) acceptFeedback(sc *estimateScratch, name []byte, ranges []geom.Range, sels []float64) (e *Entry, dropped int, code byte) {
 	if e, code = s.admit(sc, name, nil, nil); code != 0 {
 		return e, 0, code
 	}
-	for i, z := range batch {
-		if !e.fits(z.R) {
-			sc.out = appendFault(sc.out[:0], "observation", i, errDimension, z.R, e)
+	for i, q := range ranges {
+		if !e.fits(q) {
+			sc.out = appendFault(sc.out[:0], "observation", i, errDimension, q, e)
 			return e, 0, wirebin.CodeBadQuery
 		}
 	}
+	batch := cloneBatch(ranges, sels)
 	dropped = s.feedback.Add(e.name, batch)
 	if s.online != nil {
 		// The ring keeps its copy regardless: structural refreshes still
@@ -121,6 +123,32 @@ func (s *Server) acceptFeedback(sc *estimateScratch, name []byte, batch []core.L
 		s.online.ingest(e.name, batch)
 	}
 	return e, dropped, 0
+}
+
+// cloneBatch copies decoded feedback observations out of the request's
+// arenas into labeled queries: the feedback ring and the online updater
+// keep them past the request.
+func cloneBatch(ranges []geom.Range, sels []float64) []core.LabeledQuery {
+	batch := make([]core.LabeledQuery, len(ranges))
+	for i, q := range ranges {
+		batch[i] = core.LabeledQuery{R: cloneRange(q), Sel: sels[i]}
+	}
+	return batch
+}
+
+// cloneRange deep-copies an arena-backed range so it can outlive the
+// request that carried it.
+func cloneRange(r geom.Range) geom.Range {
+	clone := func(p geom.Point) geom.Point { return append(geom.Point(nil), p...) }
+	switch q := r.(type) {
+	case *geom.Box:
+		return geom.NewBox(clone(q.Lo), clone(q.Hi))
+	case *geom.Halfspace:
+		return geom.NewHalfspace(clone(q.A), q.B)
+	case *geom.Ball:
+		return geom.NewBall(clone(q.Center), q.Radius)
+	}
+	return r
 }
 
 //selvet:zeroalloc

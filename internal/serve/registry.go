@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,12 @@ type Entry struct {
 	// LoadedAt is when the entry was published.
 	LoadedAt time.Time
 
-	// name and dim are recorded at publish so the request path keys the
-	// cache and checks dimensions as is (dim 0: the model does not say).
-	name string
-	dim  int
+	// name and dim are recorded at publish so the request path checks
+	// dimensions as is (dim 0: the model does not say); genHeader is the
+	// stream's X-Model-Generation value, rendered once.
+	name      string
+	dim       int
+	genHeader []string
 }
 
 // slot holds one name's hot-swappable entry. Readers only touch the
@@ -116,7 +119,8 @@ func (r *Registry) Set(name, source string, m core.Model) *Entry {
 func (sl *slot) publish(name, source string, m core.Model) *Entry {
 	sl.gen++
 	dim, _ := modelDim(m)
-	e := &Entry{Model: m, Generation: sl.gen, Source: source, LoadedAt: time.Now(), name: name, dim: dim}
+	e := &Entry{Model: m, Generation: sl.gen, Source: source, LoadedAt: time.Now(), name: name, dim: dim,
+		genHeader: []string{strconv.FormatInt(sl.gen, 10)}}
 	sl.ptr.Store(e)
 	return e
 }

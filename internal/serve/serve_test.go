@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -282,28 +283,50 @@ func TestModelUploadAndDownload(t *testing.T) {
 	}
 }
 
+// TestFeedbackValidation pins the feedback route's answers and its
+// refusals' messages, in the order they are checked: the body, then "no
+// observations given", then for each observation in turn its query
+// fault before its label.
 func TestFeedbackValidation(t *testing.T) {
 	train, _ := fixture(t, 40, 5)
 	s := NewServer(Options{FeedbackCapacity: 2})
 	s.Registry().Set(DefaultModelName, "test", trainModel(t, train))
 	h := s.Handler()
 
+	const ok = `{"lo":[0,0],"hi":[1,1],"sel":0.5}`
 	cases := []struct {
 		name string
 		body string
 		want int
+		msg  string // the refusal's error text
 	}{
-		{"ok", `{"observations":[{"lo":[0,0],"hi":[0.5,0.5],"sel":0.2}]}`, 200},
-		{"unknown model", `{"model":"nope","observations":[{"lo":[0,0],"hi":[1,1],"sel":0.2}]}`, 404},
-		{"empty", `{"observations":[]}`, 400},
-		{"missing sel", `{"observations":[{"lo":[0,0],"hi":[1,1]}]}`, 400},
-		{"sel out of range", `{"observations":[{"lo":[0,0],"hi":[1,1],"sel":1.5}]}`, 400},
-		{"bad query", `{"observations":[{"sel":0.5}]}`, 400},
+		{"ok", `{"observations":[{"lo":[0,0],"hi":[0.5,0.5],"sel":0.2}]}`, 200, ""},
+		{"unknown model", `{"model":"nope","observations":[` + ok + `]}`, 404, `model "nope" not registered`},
+		{"empty", `{"observations":[]}`, 400, "no observations given"},
+		{"null observations", `{"observations":null}`, 400, "no observations given"},
+		{"null body", `null`, 400, "no observations given"},
+		{"missing sel", `{"observations":[{"lo":[0,0],"hi":[1,1]}]}`, 400, "observation 0: sel must be in [0,1]"},
+		{"null sel", `{"observations":[{"lo":[0,0],"hi":[1,1],"sel":0.5,"sel":null}]}`, 400, "observation 0: sel must be in [0,1]"},
+		{"sel out of range", `{"observations":[{"lo":[0,0],"hi":[1,1],"sel":1.5}]}`, 400, "observation 0: sel must be in [0,1]"},
+		{"negative sel", `{"observations":[` + ok + `,{"lo":[0,0],"hi":[1,1],"sel":-1e-9}]}`, 400, "observation 1: sel must be in [0,1]"},
+		{"bad query", `{"observations":[{"sel":0.5}]}`, 400, "observation 0: " + errNoClass.Error()},
+		{"null observation", `{"observations":[` + ok + `,null]}`, 400, "observation 1: " + errNoClass.Error()},
+		{"query before sel", `{"observations":[{"lo":[0,0],"sel":2},` + ok + `]}`, 400, "observation 0: " + errBoxDims.Error()},
+		{"unknown field", `{"observations":[` + ok + `],"extra":1}`, 400, `invalid request body: unknown field "extra"`},
+		{"trailing comma", `{"observations":[` + ok + `,]}`, 400, `invalid request body: expected "{" at offset 51`},
+		{"type", `{"observations":[{"lo":[0,0],"hi":[1,1],"sel":0.5,"b":[1]}]}`, 400, `invalid request body: expected number at offset 54`},
+		{"truncated", `{"observations":[` + ok, 400, "invalid request body: unexpected end of request body"},
 	}
 	for _, c := range cases {
-		if code := doJSON(t, h, "POST", "/v1/feedback", []byte(c.body), nil); code != c.want {
-			t.Fatalf("%s: HTTP %d, want %d", c.name, code, c.want)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/feedback", strings.NewReader(c.body)))
+		var resp apiError
+		if w.Code != c.want || c.msg != "" && (json.Unmarshal(w.Body.Bytes(), &resp) != nil || resp.Error != c.msg) {
+			t.Errorf("%s: HTTP %d %q, want %d %q", c.name, w.Code, w.Body.String(), c.want, c.msg)
 		}
+	}
+	if total, _, _ := s.feedback.Totals(); total != 1 {
+		t.Fatalf("%d observations buffered, want the one accepted", total)
 	}
 
 	// Overflow reports backpressure: capacity 2, one already buffered.
@@ -314,6 +337,33 @@ func TestFeedbackValidation(t *testing.T) {
 	}
 	if resp.Accepted != 2 || resp.Dropped != 1 {
 		t.Fatalf("backpressure: %+v, want accepted=2 dropped=1", resp)
+	}
+}
+
+// TestFeedbackCopiesObservationsOut: observations decoded into a pooled
+// scratch are copied out before the ring keeps them, so later requests
+// that reuse the scratch do not change buffered feedback.
+func TestFeedbackCopiesObservationsOut(t *testing.T) {
+	s := NewServer(Options{})
+	s.Registry().Set(DefaultModelName, "test", unitModel(1))
+	h := s.Handler()
+	first := `{"observations":[{"lo":[0.1,0.2],"hi":[0.3,0.4],"sel":0.5},{"a":[1,2],"b":0.25,"sel":0.125},{"center":[0.5,0.5],"radius":0.2,"sel":1}]}`
+	if code := doJSON(t, h, "POST", "/v1/feedback", []byte(first), nil); code != http.StatusOK {
+		t.Fatalf("feedback: HTTP %d", code)
+	}
+	for i := 0; i < 20; i++ {
+		other := `{"observations":[{"lo":[0.9,0.9],"hi":[1,1],"sel":0},{"a":[3,3],"b":9,"sel":0},{"center":[0,0],"radius":0.9,"sel":0}]}`
+		doJSON(t, h, "POST", "/v1/feedback", []byte(other), nil)
+		doJSON(t, h, "POST", "/v1/estimate", []byte(`{"queries":[{"lo":[0.7,0.7],"hi":[0.8,0.8]},{"a":[5,5],"b":5}]}`), nil)
+	}
+	got, _ := s.feedback.Snapshot(DefaultModelName)
+	want := []core.LabeledQuery{
+		{R: geom.NewBox(geom.Point{0.1, 0.2}, geom.Point{0.3, 0.4}), Sel: 0.5},
+		{R: geom.NewHalfspace(geom.Point{1, 2}, 0.25), Sel: 0.125},
+		{R: geom.NewBall(geom.Point{0.5, 0.5}, 0.2), Sel: 1},
+	}
+	if !reflect.DeepEqual(got[:3], want) {
+		t.Fatalf("buffered %v, want %v", got[:3], want)
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/modelio"
 	"repro/internal/obs"
@@ -334,65 +333,6 @@ const DefaultModelName = "default"
 
 // ---- wire format ----
 
-// wireQuery is one geometric query in any of the three classes of the
-// repository's workloads. Exactly one of the class-specific field groups
-// must be present: lo+hi (box), a+b (halfspace), center+radius (ball).
-type wireQuery struct {
-	Lo     []float64 `json:"lo,omitempty"`
-	Hi     []float64 `json:"hi,omitempty"`
-	A      []float64 `json:"a,omitempty"`
-	B      *float64  `json:"b,omitempty"`
-	Center []float64 `json:"center,omitempty"`
-	Radius *float64  `json:"radius,omitempty"`
-}
-
-func (q wireQuery) toRange() (geom.Range, error) {
-	switch {
-	case q.Lo != nil || q.Hi != nil:
-		if len(q.Lo) == 0 || len(q.Lo) != len(q.Hi) {
-			return nil, errBoxDims
-		}
-		return geom.NewBox(geom.Point(q.Lo), geom.Point(q.Hi)), nil
-	case q.A != nil || q.B != nil:
-		if len(q.A) == 0 || q.B == nil {
-			return nil, errHalfspaceAB
-		}
-		return geom.NewHalfspace(geom.Point(q.A), *q.B), nil
-	case q.Center != nil || q.Radius != nil:
-		if len(q.Center) == 0 || q.Radius == nil {
-			return nil, errBallCR
-		}
-		if *q.Radius < 0 {
-			return nil, errBallNegative
-		}
-		return geom.NewBall(geom.Point(q.Center), *q.Radius), nil
-	}
-	return nil, errNoClass
-}
-
-type estimateRequest struct {
-	Model   string      `json:"model,omitempty"`
-	Query   *wireQuery  `json:"query,omitempty"`
-	Queries []wireQuery `json:"queries,omitempty"`
-}
-
-type estimateResponse struct {
-	Model      string    `json:"model"`
-	Generation int64     `json:"generation"`
-	Estimate   *float64  `json:"estimate,omitempty"`
-	Estimates  []float64 `json:"estimates,omitempty"`
-}
-
-type observation struct {
-	wireQuery
-	Sel *float64 `json:"sel"`
-}
-
-type feedbackRequest struct {
-	Model        string        `json:"model,omitempty"`
-	Observations []observation `json:"observations"`
-}
-
 type feedbackResponse struct {
 	Model    string `json:"model"`
 	Accepted int    `json:"accepted"`
@@ -504,19 +444,6 @@ func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) {
 	}
 }
 
-// decodeBody parses a size-limited JSON request body, rejecting unknown
-// fields so client typos fail loudly instead of silently estimating the
-// wrong thing.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // readBody slurps the request body into the pooled scratch buffer,
 // enforcing MaxBodyBytes by hand — http.MaxBytesReader allocates a
 // wrapper per request, which the zero-allocation estimate path cannot
@@ -569,6 +496,7 @@ type estimateScratch struct {
 	balls  []geom.Ball      //
 	qerrs  []error          // per-query validation error, nil when valid
 	ranges []geom.Range     // one per query, nil when invalid
+	sels   []float64        // one label per feedback observation
 
 	// estimate + encode state
 	valid   []int        // index of each query without a fault
@@ -609,6 +537,7 @@ func (sc *estimateScratch) trim() {
 	dropOversized(&sc.balls)
 	dropOversized(&sc.qerrs)
 	dropOversized(&sc.ranges)
+	dropOversized(&sc.sels)
 	dropOversized(&sc.valid)
 	dropOversized(&sc.validRg)
 	dropOversized(&sc.validV)
@@ -662,35 +591,37 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req feedbackRequest
-	if !s.decodeBody(w, r, &req) {
+	sc := scratchPool.Get().(*estimateScratch)
+	defer scratchPool.Put(sc)
+	defer sc.trim()
+	if !s.readBody(w, r, sc) {
 		return
 	}
-	if len(req.Observations) == 0 {
+	sc.resetWire()
+	if err := parseFeedbackRequest(sc); err != nil {
+		s.writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return
+	}
+	if len(sc.ranges) == 0 {
 		s.writeError(w, http.StatusBadRequest, "no observations given")
 		return
 	}
-	batch := make([]core.LabeledQuery, len(req.Observations))
-	for i, o := range req.Observations {
-		q, err := o.toRange()
+	for i, err := range sc.qerrs {
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "observation %d: %v", i, err)
 			return
 		}
-		if o.Sel == nil || *o.Sel < 0 || *o.Sel > 1 {
+		if sel := sc.sels[i]; !(sel >= 0 && sel <= 1) { // NaN: no sel given
 			s.writeError(w, http.StatusBadRequest, "observation %d: sel must be in [0,1]", i)
 			return
 		}
-		batch[i] = core.LabeledQuery{R: q, Sel: *o.Sel}
 	}
-	sc := scratchPool.Get().(*estimateScratch)
-	defer scratchPool.Put(sc)
-	entry, dropped, code := s.acceptFeedback(sc, []byte(req.Model), batch)
+	entry, dropped, code := s.acceptFeedback(sc, sc.name, sc.ranges, sc.sels)
 	if code != 0 {
 		s.writeFault(w, code, sc.out)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, feedbackResponse{Model: entry.name, Accepted: len(batch), Dropped: dropped})
+	s.writeJSON(w, http.StatusOK, feedbackResponse{Model: entry.name, Accepted: len(sc.ranges), Dropped: dropped})
 }
 
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"errors"
 	"net/http"
-	"strconv"
+	"net/url"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -44,7 +45,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 	defer scratchPool.Put(sc)
 	defer sc.trim()
 	sc.resetWire()
-	sc.name = append(sc.name, r.URL.Query().Get("model")...)
+	sc.name = append(sc.name, queryParam(r.URL.RawQuery, "model")...)
 	entry, code := s.admit(sc, sc.name, nil, nil)
 	if code != 0 {
 		s.writeFault(w, code, sc.out)
@@ -69,7 +70,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 
 	h := w.Header()
 	h["Content-Type"] = ndjsonContentType
-	h.Set("X-Model-Generation", strconv.FormatInt(entry.Generation, 10))
+	h["X-Model-Generation"] = entry.genHeader
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
@@ -86,19 +87,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 		}
 		entry.check(sc.ranges, sc.qerrs)
 		ests := s.estimate(entry, sc.ranges, sc.qerrs, sc, sp)
-		out := sc.out[:0]
-		for i, err := range sc.qerrs {
-			if err != nil {
-				msg := appendFault(sc.strbuf[:0], "query", first+i, err, sc.ranges[i], entry)
-				sc.strbuf = msg[:0]
-				out = append(out, `{"error":`...)
-				out = appendJSONString(out, msg)
-			} else {
-				out = append(out, `{"estimate":`...)
-				out = appendJSONFloat(out, ests[i])
-			}
-			out = append(out, '}', '\n')
-		}
+		out := appendStreamLines(sc.out[:0], sc, ests, first, entry)
 		sc.out = out
 		first += len(sc.ranges)
 		sc.resetWire()
@@ -129,7 +118,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 			sc.qerrs = append(sc.qerrs, errLineTooLong)
 		} else if p.i < len(line) { // blank lines are skipped
 			// A final unterminated line is parsed too, then the loop ends.
-			if perr := p.parseQuery(&qp); perr != nil {
+			if perr := p.parseLine(&qp); perr != nil {
 				sc.ranges = append(sc.ranges, nil)
 				sc.qerrs = append(sc.qerrs, perr)
 			}
@@ -142,4 +131,48 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	flush(false)
+}
+
+// appendStreamLines renders one answer line per slot of a checked and
+// estimated batch whose first line is line first of the stream: the
+// estimate, or the slot's fault as in "query N: …".
+//
+//selvet:zeroalloc
+func appendStreamLines(out []byte, sc *estimateScratch, ests []float64, first int, e *Entry) []byte {
+	for i, err := range sc.qerrs {
+		if err != nil {
+			msg := appendFault(sc.strbuf[:0], "query", first+i, err, sc.ranges[i], e)
+			sc.strbuf = msg[:0]
+			out = append(out, `{"error":`...)
+			out = appendJSONString(out, msg)
+		} else {
+			out = append(out, `{"estimate":`...)
+			out = appendJSONFloat(out, ests[i])
+		}
+		out = append(out, '}', '\n')
+	}
+	return out
+}
+
+// queryParam returns the first value of key in the raw URL query as
+// url.ParseQuery decodes it (a pair holding ';' or a bad escape is
+// skipped), without building the map r.URL.Query() allocates.
+// url.QueryUnescape returns its argument when there is nothing to
+// decode, so only a '+' or %XX escape costs an allocation.
+func queryParam(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/rng"
 )
 
 // streamLines posts NDJSON lines to the stream endpoint and returns the
@@ -287,4 +289,30 @@ func TestEstimateStreamWriteFailureCounted(t *testing.T) {
 			t.Fatal("error-line write failure not counted in selserve_encode_errors_total")
 		}
 	})
+}
+
+// TestQueryParamMatchesURLQuery: the stream reads ?model= from the raw
+// query as r.URL.Query().Get does, without building the map.
+func TestQueryParamMatchesURLQuery(t *testing.T) {
+	cases := []string{
+		"", "model=a", "model=a&model=b", "x=1&model=tenant-7", "model", "model=", "=a",
+		"model=a+b%20c", "mod%65l=x", "model=%zz&model=ok", "model=%4", "model=a;b&model=c",
+		"a;b=c&model=d", "&&model=e&", "model=%E2%82%AC", "MODEL=x", "model%3Dx=y", "model=a=b",
+	}
+	r := rng.New(5)
+	const alphabet = "model=&;%+2a0Fz"
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, r.IntN(16))
+		for j := range b {
+			b[j] = alphabet[r.IntN(len(alphabet))]
+		}
+		cases = append(cases, string(b))
+	}
+	for _, raw := range cases {
+		vals, _ := url.ParseQuery(raw) // Query() ignores the error too
+		want := vals.Get("model")
+		if got := queryParam(raw, "model"); got != want {
+			t.Fatalf("?%s: model %q, url.ParseQuery says %q", raw, got, want)
+		}
+	}
 }

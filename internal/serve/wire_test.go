@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/load"
 	"repro/internal/rng"
 )
 
@@ -244,11 +245,18 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 
+// duplexWriter is a discardWriter that supports what the stream handler
+// asks of net/http's writer: full duplex and flushing.
+type duplexWriter struct{ discardWriter }
+
+func (*duplexWriter) EnableFullDuplex() error { return nil }
+func (*duplexWriter) Flush()                  {}
+
 // TestEstimateHandlerZeroAlloc is the end-to-end allocation gate for the
 // estimate request path (the TestObsDisabledAllocs pattern applied to the
 // handler): mux dispatch, instrumentation, body read, decode, estimate,
-// encode — 0 allocs/op at steady state, for one query and for a batch, on
-// the server's default configuration.
+// encode — 0 allocs/op at steady state, for one query and for a batch on
+// the server's default configuration, and for a 64-line stream.
 func TestEstimateHandlerZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs without -race")
@@ -260,16 +268,12 @@ func TestEstimateHandlerZeroAlloc(t *testing.T) {
 	h := s.Handler()
 
 	// gate warms the pools, proves the path serves 200s, then measures.
-	gate := func(t *testing.T, req estimateRequest) {
+	gate := func(t *testing.T, h http.Handler, path string, payload []byte) {
 		t.Helper()
-		payload, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rd := bytes.NewReader(payload)
-		r := httptest.NewRequest("POST", "/v1/estimate", rd)
+		r := httptest.NewRequest("POST", path, rd)
 		r.Body = reusableBody{rd}
-		w := &discardWriter{h: make(http.Header)}
+		w := &duplexWriter{discardWriter{h: make(http.Header)}}
 		for i := 0; i < 8; i++ {
 			rd.Reset(payload)
 			w.status = 0
@@ -283,12 +287,19 @@ func TestEstimateHandlerZeroAlloc(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 		if allocs != 0 {
-			t.Fatalf("estimate request path allocates %.1f objects/op, want 0", allocs)
+			t.Fatalf("%s request path allocates %.1f objects/op, want 0", path, allocs)
 		}
+	}
+	marshal := func(t *testing.T, req estimateRequest) []byte {
+		payload, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
 	}
 
 	b := test[0].R.(geom.Box)
-	gate(t, estimateRequest{Query: &wireQuery{Lo: b.Lo, Hi: b.Hi}})
+	gate(t, h, "/v1/estimate", marshal(t, estimateRequest{Query: &wireQuery{Lo: b.Lo, Hi: b.Hi}}))
 
 	t.Run("batch", func(t *testing.T) {
 		qs := make([]wireQuery, 16)
@@ -296,7 +307,17 @@ func TestEstimateHandlerZeroAlloc(t *testing.T) {
 			f := float64(i) / 32
 			qs[i] = wireQuery{Lo: []float64{f, f / 2}, Hi: []float64{f + 0.4, f + 0.5}}
 		}
-		gate(t, estimateRequest{Queries: qs})
+		gate(t, h, "/v1/estimate", marshal(t, estimateRequest{Queries: qs}))
+	})
+
+	t.Run("stream", func(t *testing.T) {
+		// The kernel hands a batch of 64 or more queries to the worker
+		// pool, whose task closure allocates on every transport; a
+		// one-worker kernel keeps this gate on the stream's own path.
+		s := NewServer(Options{EstimateWorkers: 1})
+		s.Registry().Set(DefaultModelName, "test", m)
+		qs := load.EventQueries(load.Event{Class: load.ClassStream, Seed: 3})
+		gate(t, s.Handler(), "/v1/estimate/stream?model=default", load.StreamBody(qs))
 	})
 }
 
@@ -526,6 +547,87 @@ func TestPooledScratchDropsOversizedBuffers(t *testing.T) {
 			if attempt == 10 {
 				t.Fatalf("%s: the pool never handed back the request's scratch", c.path)
 			}
+		}
+	}
+}
+
+// TestWireRepeatedKeys: a later value of a key replaces the earlier one
+// and null clears it, for "query", "queries", "observations" and every
+// query field, so the handler answers the query the body ends with.
+func TestWireRepeatedKeys(t *testing.T) {
+	s := NewServer(Options{})
+	s.Registry().Set(DefaultModelName, "test", unitModel(1))
+	h := s.Handler()
+	estimate := func(body string) (int, string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body)))
+		return w.Code, w.Body.String()
+	}
+	for _, c := range []struct{ body, want string }{
+		// The unit model answers a box with its area inside [0,1]².
+		{`{"query":{"lo":[0,0],"hi":[0.5,0.5]},"query":{"lo":[0,0],"hi":[0.5,1]}}`, `"estimate":0.5}`},
+		{`{"query":{"lo":[0,0],"hi":[0.5,0.5]},"query":{"a":[1,0],"b":0.5}}`, `"estimate":0.5}`},
+		{`{"queries":[{"lo":[0,0],"hi":[1,1]},{"lo":[0,0],"hi":[1,1]}],"queries":[{"lo":[0,0],"hi":[0.5,0.5]}]}`, `"estimates":[0.25]}`},
+		{`{"queries":[{"lo":[0,0],"hi":[1,1]}],"queries":null,"query":{"lo":[0,0],"hi":[0.5,0.5]}}`, `"estimate":0.25}`},
+		{`{"query":{"lo":[0,0],"hi":[1,1]},"query":null,"queries":[{"lo":[0,0],"hi":[0.5,0.5]}]}`, `"estimates":[0.25]}`},
+		{`{"query":{"lo":[0.1,0.2],"lo":null,"a":[1,0],"b":0.5}}`, `"estimate":0.5}`},
+		{`{"query":{"lo":[0,0,0],"lo":[0,0],"hi":[0.5,0.5]}}`, `"estimate":0.25}`},
+	} {
+		code, body := estimate(c.body)
+		if code != http.StatusOK || !strings.HasSuffix(body, c.want+"\n") {
+			t.Errorf("%s: HTTP %d %q, want a body ending %s", c.body, code, body, c.want)
+		}
+	}
+	// A repeated radius, cleared by null, leaves a ball without one.
+	if code, body := estimate(`{"query":{"center":[0.5,0.5],"radius":0.1,"radius":null}}`); code != http.StatusBadRequest ||
+		!strings.Contains(body, errBallCR.Error()) {
+		t.Errorf("cleared radius: HTTP %d %q, want %q", code, body, errBallCR)
+	}
+
+	var resp feedbackResponse
+	body := `{"observations":[{"lo":[0,0],"hi":[1,1],"sel":1},{"lo":[0,0],"hi":[1,1],"sel":1}],` +
+		`"observations":[{"lo":[0,0],"hi":[0.5,0.5],"sel":0.3,"sel":0.25}]}`
+	if code := doJSON(t, h, "POST", "/v1/feedback", []byte(body), &resp); code != http.StatusOK || resp.Accepted != 1 {
+		t.Fatalf("repeated observations: HTTP %d %+v, want 1 accepted", code, resp)
+	}
+	got, _ := s.feedback.Snapshot(DefaultModelName)
+	if len(got) != 1 || got[0].Sel != 0.25 || got[0].R.(geom.Box).Hi[0] != 0.5 {
+		t.Fatalf("repeated observations buffered %v, want the last list with its last sel", got)
+	}
+}
+
+// TestWireKeysMatchExactly pins the codec's one deliberate departure from
+// encoding/json: keys match exactly, while encoding/json folds case and
+// takes "QUERY" or "LO" for "query" and "lo".
+func TestWireKeysMatchExactly(t *testing.T) {
+	for _, body := range []string{
+		`{"QUERY":{"lo":[0],"hi":[1]}}`,
+		`{"query":{"LO":[0],"hi":[1]}}`,
+		`{"Queries":[{"lo":[0],"hi":[1]}]}`,
+		`{"Model":"default","query":{"lo":[0],"hi":[1]}}`,
+	} {
+		if err := strictDecode([]byte(body), new(estimateRequest)); err != nil {
+			t.Fatalf("encoding/json refused %s: %v", body, err)
+		}
+		sc := new(estimateScratch)
+		sc.body = []byte(body)
+		sc.resetWire()
+		if _, _, err := parseEstimateRequest(sc); err == nil || !strings.HasPrefix(err.Error(), "unknown field") {
+			t.Errorf("parse(%s): error %v, want an unknown field", body, err)
+		}
+	}
+	for _, body := range []string{
+		`{"OBSERVATIONS":[{"lo":[0],"hi":[1],"sel":0.5}]}`,
+		`{"observations":[{"lo":[0],"hi":[1],"Sel":0.5}]}`,
+	} {
+		if err := strictDecode([]byte(body), new(feedbackRequest)); err != nil {
+			t.Fatalf("encoding/json refused %s: %v", body, err)
+		}
+		sc := new(estimateScratch)
+		sc.body = []byte(body)
+		sc.resetWire()
+		if err := parseFeedbackRequest(sc); err == nil || !strings.HasPrefix(err.Error(), "unknown field") {
+			t.Errorf("parse(%s): error %v, want an unknown field", body, err)
 		}
 	}
 }

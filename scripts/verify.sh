@@ -101,10 +101,27 @@ go test -run '^$' -bench 'BenchmarkFig09$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkEstimatePath/|BenchmarkIndexCrossover/|BenchmarkServeEstimateBatch/|BenchmarkServeEstimateStream/' -benchtime 1x .
 # Wire-path zero-allocation gate: the steady-state single-estimate and
 # 16-query batch paths through the full mux (pooled codecs, arena parse,
-# hand-rolled encode) of a server on the default Options{} must measure
-# exactly 0 allocs/op — this is the contract DESIGN.md §13 documents, and
-# any new per-request allocation fails the test.
+# hand-rolled encode) of a server on the default Options{}, and a 64-line
+# NDJSON stream, must measure exactly 0 allocs/op — this is the contract
+# DESIGN.md §13 documents, and any new per-request allocation fails the
+# test.
 go test -run 'TestEstimateHandlerZeroAlloc' -count=1 ./internal/serve
+# JSON codec same-bits gates (DESIGN.md §13): every number the scanner
+# converts on its own paths has strconv.ParseFloat's bits, on random
+# renderings and on the load harness's bodies (whose path shares the test
+# logs); a repeated key replaces the earlier value; keys match exactly.
+# Then the differential fuzz targets' seed corpora: the estimate and
+# feedback parsers against encoding/json, stream lines against the
+# single-query answer, and number tokens against encoding/json and
+# strconv.
+go test -count=1 -run 'TestWireNumberMatchesStrconv|TestWireNumberPathShares|TestWireRepeatedKeys|TestWireKeysMatchExactly' ./internal/serve
+go test -count=1 -run 'FuzzParseEstimateRequest|FuzzParseFeedbackRequest|FuzzStreamLines|FuzzWireNumber' ./internal/serve
+# Per-layer codec benchmarks (decode and encode apart from the mux and the
+# kernel, on bodies internal/load renders) and the in-process feedback
+# request: one pass each so a harness break shows here, -benchmem for the
+# allocation columns.
+go test -run '^$' -bench 'BenchmarkWireDecode/|BenchmarkWireEncode/' -benchtime 1x -benchmem ./internal/serve
+go test -run '^$' -bench 'BenchmarkServeFeedback$' -benchtime 1x -benchmem .
 # Stream endpoint concurrency gate: per-connection pooled state and the
 # registry's COW publication must stay tear-free under concurrent streams
 # and model hot-swaps; the BVH Reweight path gets the same treatment since
