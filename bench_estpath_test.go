@@ -136,7 +136,7 @@ func BenchmarkIndexCrossover(b *testing.B) {
 }
 
 // BenchmarkServeEstimateBatch is end-to-end batched /v1/estimate
-// throughput by worker count. Reports queries/s alongside ns/op.
+// throughput. Reports queries/s alongside ns/op.
 func BenchmarkServeEstimateBatch(b *testing.B) {
 	model := estPathModel(4096)
 	core.Accelerate(model)
@@ -152,29 +152,24 @@ func BenchmarkServeEstimateBatch(b *testing.B) {
 	sb.WriteString(`]}`)
 	body := sb.String()
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := serve.NewServer(serve.Options{EstimateWorkers: workers})
-			s.Registry().Set(serve.DefaultModelName, "bench", model)
-			h := s.Handler()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body))
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
-				}
-			}
-			b.ReportMetric(float64(b.N)*float64(len(queries))/b.Elapsed().Seconds(), "queries/s")
-		})
+	s := serve.NewServer(serve.Options{})
+	s.Registry().Set(serve.DefaultModelName, "bench", model)
+	h := s.Handler()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest("POST", "/v1/estimate", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
+		}
 	}
+	b.ReportMetric(float64(b.N)*float64(len(queries))/b.Elapsed().Seconds(), "queries/s")
 }
 
 // BenchmarkServeEstimateStream is end-to-end /v1/estimate/stream
-// throughput by worker count: each iteration pushes 256 NDJSON query
-// lines through the handler and drains the result lines. Reports
-// queries/s alongside ns/op.
+// throughput: each iteration pushes 256 NDJSON query lines through the
+// handler and drains the result lines. Reports queries/s alongside ns/op.
 func BenchmarkServeEstimateStream(b *testing.B) {
 	model := estPathModel(4096)
 	core.Accelerate(model)
@@ -185,26 +180,22 @@ func BenchmarkServeEstimateStream(b *testing.B) {
 	}
 	body := sb.String()
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := serve.NewServer(serve.Options{EstimateWorkers: workers})
-			s.Registry().Set(serve.DefaultModelName, "bench", model)
-			h := s.Handler()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest("POST", "/v1/estimate/stream", strings.NewReader(body))
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
-				}
-				if n := strings.Count(w.Body.String(), "\n"); n != len(queries) {
-					b.Fatalf("%d result lines, want %d", n, len(queries))
-				}
-			}
-			b.ReportMetric(float64(b.N)*float64(len(queries))/b.Elapsed().Seconds(), "queries/s")
-		})
+	s := serve.NewServer(serve.Options{})
+	s.Registry().Set(serve.DefaultModelName, "bench", model)
+	h := s.Handler()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest("POST", "/v1/estimate/stream", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
+		}
+		if n := strings.Count(w.Body.String(), "\n"); n != len(queries) {
+			b.Fatalf("%d result lines, want %d", n, len(queries))
+		}
 	}
+	b.ReportMetric(float64(b.N)*float64(len(queries))/b.Elapsed().Seconds(), "queries/s")
 }
 
 // BenchmarkServeEstimateAlloc is the steady-state single-estimate path

@@ -61,7 +61,6 @@ func main() {
 		interval    = flag.Duration("retrain-interval", 15*time.Second, "background retrain period")
 		tolerance   = flag.Float64("retrain-tolerance", 0, "max held-out RMS regression a retrained model may introduce and still be swapped in")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		workers     = flag.Int("estimate-workers", 0, "workers for batched estimate requests (0 = all CPUs); responses are identical for any value")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logJSON     = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		traceSample = flag.Int("trace-sample", 0, "trace one request in N for GET /debug/trace (0 disables, 1 traces all)")
@@ -103,7 +102,6 @@ func main() {
 		RetrainInterval:   *interval,
 		RetrainTolerance:  *tolerance,
 		DrainTimeout:      *drain,
-		EstimateWorkers:   *workers,
 		TraceSample:       *traceSample,
 		EnablePprof:       *pprofOn,
 		OnlineUpdates:     *onlineOn,

@@ -39,7 +39,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "model seed")
 		minSel    = flag.Float64("minsel", 1e-5, "Q-error floor")
 		outPath   = flag.String("out", "", "write the trained model to this file (modelio envelope)")
-		savePath  = flag.String("save", "", "deprecated alias for -out")
 		loadPath  = flag.String("load", "", "skip training: load a model and evaluate it on every CSV row")
 		workers   = flag.Int("workers", 0, "worker-pool size for the training kernels (0 = all CPUs); results are identical for any value")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON profile of the run to this file (chrome://tracing)")
@@ -65,12 +64,6 @@ func main() {
 	}
 	if *minSel <= 0 {
 		usage(fmt.Errorf("-minsel must be positive, got %v", *minSel))
-	}
-	if *outPath != "" && *savePath != "" && *outPath != *savePath {
-		usage(fmt.Errorf("-out and -save (deprecated alias) disagree: %q vs %q", *outPath, *savePath))
-	}
-	if *outPath == "" {
-		*outPath = *savePath
 	}
 	if *loadPath != "" && *outPath != "" {
 		usage(fmt.Errorf("-load and -out are mutually exclusive"))

@@ -22,7 +22,7 @@ import (
 )
 
 // ErrTooManyCells is returned when the arrangement would exceed the cap.
-var ErrTooManyCells = errors.New("arrangement: cell count exceeds MaxCells")
+var ErrTooManyCells = errors.New("arrangement: cell count exceeds the cap")
 
 // GridCells returns the cells of the facet-coordinate grid refinement of
 // the arrangement of the boxes over [0,1]^d, capped at maxCells.
@@ -86,11 +86,10 @@ type Options struct {
 	// Discrete selects the discrete-distribution variant: one point per
 	// cell (the cell center) instead of the cell itself.
 	Discrete bool
-	// MaxCells caps the arrangement size (0 = 200000).
-	MaxCells int
-	// Solver picks the weight-estimation algorithm.
-	Solver solver.Method
 }
+
+// maxCells caps the arrangement size.
+const maxCells = 200000
 
 // Trainer is the exact arrangement learner.
 type Trainer struct {
@@ -128,10 +127,6 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 		}
 		boxes[i] = b
 	}
-	maxCells := t.Opts.MaxCells
-	if maxCells == 0 {
-		maxCells = 200000
-	}
 	cells, err := GridCells(t.Dim, boxes, maxCells)
 	if err != nil {
 		return nil, err
@@ -144,10 +139,10 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 			m.Points[j] = c.Center()
 		}
 		a := core.DesignMatrixPoints(samples, m.Points)
-		m.Weights, err = solver.WeightsWith(t.Opts.Solver, a, s)
+		m.Weights, err = solver.Weights(a, s)
 	} else {
 		a := core.DesignMatrixBoxes(samples, cells)
-		m.Weights, err = solver.WeightsWith(t.Opts.Solver, a, s)
+		m.Weights, err = solver.Weights(a, s)
 	}
 	if err != nil {
 		return nil, err

@@ -205,14 +205,17 @@ func EstimateRangesInto(m Model, ranges []geom.Range, workers int, out []float64
 	if len(out) != len(ranges) {
 		panic("core: EstimateRangesInto output length mismatch")
 	}
-	if workers <= 0 && len(ranges) < estimatesParallelThreshold {
+	if workers <= 0 {
 		workers = 1
+		if len(ranges) >= estimatesParallelThreshold {
+			workers = parallel.Workers(0)
+		}
 	}
 	if workers == 1 {
 		// Inline serial loop: identical results to the one-worker pool
 		// path (both are index-addressed), but the closure below never
 		// materializes — the serving layer's zero-allocation estimate
-		// path depends on this.
+		// path depends on this, on a one-worker pool too.
 		for i, r := range ranges {
 			out[i] = m.Estimate(r)
 		}
@@ -223,14 +226,15 @@ func EstimateRangesInto(m Model, ranges []geom.Range, workers int, out []float64
 	})
 }
 
-// EstimateRangesTraced is EstimateRangesInto wrapped in a child span of
-// parent named "core.estimate_ranges", annotated with the batch size. With
-// an inactive parent span the wrapper is free: the zero Span's Child and
-// End are no-ops.
-func EstimateRangesTraced(m Model, ranges []geom.Range, workers int, out []float64, parent obs.Span) {
+// EstimateRangesTraced is EstimateRangesInto on one worker, wrapped in a
+// child span of parent named "core.estimate_ranges" and annotated with the
+// batch size: the serving path's kernel call, run on the request's
+// goroutine. With an inactive parent span the wrapper is free: the zero
+// Span's Child and End are no-ops.
+func EstimateRangesTraced(m Model, ranges []geom.Range, out []float64, parent obs.Span) {
 	sp := parent.Child("core.estimate_ranges")
 	sp.Items = int64(len(ranges))
-	EstimateRangesInto(m, ranges, workers, out)
+	EstimateRangesInto(m, ranges, 1, out)
 	sp.End()
 }
 

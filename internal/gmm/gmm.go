@@ -141,19 +141,20 @@ func (m *Model) Estimate(r geom.Range) float64 {
 	return core.Clamp01(s)
 }
 
+// samplesPerComponent is how many interior points per component feed
+// k-means.
+const samplesPerComponent = 20
+
+// sigmaScales is the grid of spread multipliers tried during training;
+// the one with the lowest training loss wins.
+var sigmaScales = [...]float64{0.5, 1, 2}
+
 // Options configures GMM training.
 type Options struct {
 	// K is the number of mixture components.
 	K int
 	// Seed drives component placement.
 	Seed uint64
-	// SamplesPerComponent controls how many interior points feed k-means
-	// (default 20).
-	SamplesPerComponent int
-	// SigmaScales is the grid of spread multipliers tried during
-	// training; the one with the lowest training loss wins (default
-	// {0.5, 1, 2}).
-	SigmaScales []float64
 	// Solver picks the weight-estimation algorithm.
 	Solver solver.Method
 }
@@ -189,19 +190,10 @@ func (t *Trainer) TrainMixture(samples []core.LabeledQuery) (*Model, error) {
 	if t.Opts.K <= 0 {
 		return nil, errors.New("gmm: K must be positive")
 	}
-	spc := t.Opts.SamplesPerComponent
-	if spc == 0 {
-		spc = 20
-	}
-	scales := t.Opts.SigmaScales
-	if len(scales) == 0 {
-		scales = []float64{0.5, 1, 2}
-	}
-
 	// Component design: selectivity-proportional interior sampling
 	// (reusing PTSHIST's bucket-design phase), then k-means.
 	sampler := &ptshist.Trainer{Dim: t.Dim, Opts: ptshist.Options{
-		K:    t.Opts.K * spc,
+		K:    t.Opts.K * samplesPerComponent,
 		Seed: t.Opts.Seed,
 	}}
 	pts := sampler.SamplePoints(samples)
@@ -214,7 +206,7 @@ func (t *Trainer) TrainMixture(samples []core.LabeledQuery) (*Model, error) {
 	s := core.Selectivities(samples)
 	var best *Model
 	bestLoss := math.Inf(1)
-	for _, scale := range scales {
+	for _, scale := range sigmaScales {
 		comps := make([]Component, len(centers))
 		for k := range centers {
 			comps[k] = Component{Mean: centers[k], Sigma: spreads[k] * scale}

@@ -25,7 +25,6 @@ type Incremental struct {
 	dim        int
 	tau        float64
 	refitEvery int
-	sol        solver.Method
 
 	tree     *quadtree.Tree
 	samples  []core.LabeledQuery
@@ -43,8 +42,6 @@ type IncrementalOptions struct {
 	// RefitEvery re-estimates weights after this many observations
 	// (default 32). Refit is also available on demand.
 	RefitEvery int
-	// Solver picks the weight-estimation algorithm.
-	Solver solver.Method
 }
 
 // NewIncremental returns a streaming QUADHIST for dimension dim.
@@ -64,7 +61,6 @@ func NewIncremental(dim int, opts IncrementalOptions) (*Incremental, error) {
 		dim:        dim,
 		tau:        opts.Tau,
 		refitEvery: refit,
-		sol:        opts.Solver,
 		tree:       quadtree.New(dim, qopts...),
 	}, nil
 }
@@ -92,7 +88,7 @@ func (inc *Incremental) Observe(q geom.Range, sel float64) error {
 func (inc *Incremental) Refit() error {
 	buckets := inc.tree.Leaves()
 	a := core.DesignMatrixBoxes(inc.samples, buckets)
-	w, err := solver.WeightsWith(inc.sol, a, core.Selectivities(inc.samples))
+	w, err := solver.Weights(a, core.Selectivities(inc.samples))
 	if err != nil {
 		return err
 	}

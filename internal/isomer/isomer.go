@@ -42,10 +42,6 @@ const opsPerSecond = 50e6
 
 // Options configures ISOMER training.
 type Options struct {
-	// MaxBuckets caps the partition size (default 20000). The original
-	// chooses its own bucket count; the paper reports 48–160× the query
-	// count.
-	MaxBuckets int
 	// Budget bounds training cost, expressed as a duration for
 	// continuity with the paper's 30-minute cutoff (default 30s). It is
 	// enforced deterministically: the duration is converted to work
@@ -53,27 +49,20 @@ type Options struct {
 	// hits the cutoff depends only on the workload, never on the
 	// machine or scheduler.
 	Budget time.Duration
-	// WorkBudget, when nonzero, sets the work-unit budget directly and
-	// takes precedence over Budget.
-	WorkBudget int64
-	// ScalingIters bounds iterative-scaling sweeps (default 200).
-	ScalingIters int
-	// Nested selects the faithful STHoles nested-bucket construction
-	// (stholes.go) instead of the default flat query-boundary
-	// refinement. Both yield a disjoint box partition; they differ in
-	// which boundaries survive the bucket cap.
-	Nested bool
 }
+
+// maxBuckets caps the partition size. The original chooses its own
+// bucket count; the paper reports 48–160× the query count.
+const maxBuckets = 20000
+
+// scalingIters bounds iterative-scaling sweeps.
+const scalingIters = 200
 
 // workBudget meters deterministic training cost. spend reports whether
 // the budget still covers n more units.
 type workBudget struct{ left int64 }
 
-func newWorkBudget(opts Options) *workBudget {
-	if opts.WorkBudget > 0 {
-		return &workBudget{left: opts.WorkBudget}
-	}
-	d := opts.Budget
+func newWorkBudget(d time.Duration) *workBudget {
 	if d == 0 {
 		d = 30 * time.Second
 	}
@@ -109,15 +98,7 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 	if err := core.CheckFiniteSelectivities(samples); err != nil {
 		return nil, fmt.Errorf("isomer: %w", err)
 	}
-	maxBuckets := t.Opts.MaxBuckets
-	if maxBuckets == 0 {
-		maxBuckets = 20000
-	}
-	iters := t.Opts.ScalingIters
-	if iters == 0 {
-		iters = 200
-	}
-	budget := newWorkBudget(t.Opts)
+	budget := newWorkBudget(t.Opts.Budget)
 
 	boxes := make([]geom.Box, len(samples))
 	for i, z := range samples {
@@ -128,42 +109,32 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 		boxes[i] = b
 	}
 
-	// Phase 1: bucket construction — flat query-boundary refinement by
-	// default, the faithful STHoles nested drilling with Options.Nested.
+	// Phase 1: bucket construction by flat query-boundary refinement.
 	stage := t.Log.Stage("bucket_refine")
-	var buckets []geom.Box
-	if t.Opts.Nested {
-		buckets = NestedBuckets(t.Dim, boxes, maxBuckets)
-		if !budget.spend(int64(len(boxes)) * int64(len(buckets))) {
+	buckets := []geom.Box{geom.UnitCube(t.Dim)}
+	for _, q := range boxes {
+		if !budget.spend(int64(len(buckets))) {
 			stage.EndItems(int64(len(buckets)))
 			return nil, ErrBudget
 		}
-	} else {
-		buckets = []geom.Box{geom.UnitCube(t.Dim)}
-		for _, q := range boxes {
-			if !budget.spend(int64(len(buckets))) {
-				stage.EndItems(int64(len(buckets)))
-				return nil, ErrBudget
-			}
-			if len(buckets) >= maxBuckets {
-				break
-			}
-			next := buckets[:0:0]
-			for _, b := range buckets {
-				if len(buckets)+len(next) > maxBuckets+64 || !b.IntersectsBox(q) || q.ContainsBox(b) {
-					next = append(next, b)
-					continue
-				}
-				next = append(next, splitAround(b, q)...)
-			}
-			buckets = next
+		if len(buckets) >= maxBuckets {
+			break
 		}
+		next := buckets[:0:0]
+		for _, b := range buckets {
+			if len(buckets)+len(next) > maxBuckets+64 || !b.IntersectsBox(q) || q.ContainsBox(b) {
+				next = append(next, b)
+				continue
+			}
+			next = append(next, splitAround(b, q)...)
+		}
+		buckets = next
 	}
 	stage.EndItems(int64(len(buckets)))
 
 	// Phase 2: maximum-entropy weights by iterative proportional scaling.
 	stage = t.Log.Stage("iterative_scaling")
-	w, sweeps, err := maxEntropyWeights(buckets, samples, iters, budget)
+	w, sweeps, err := maxEntropyWeights(buckets, samples, scalingIters, budget)
 	stage.EndItems(int64(sweeps))
 	if err != nil {
 		return nil, err

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/lp"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/solver"
@@ -35,10 +34,6 @@ type Options struct {
 	// InteriorFraction is the share of buckets drawn from query
 	// interiors; the paper uses 0.9. Zero means the default.
 	InteriorFraction float64
-	// Solver picks the weight-estimation algorithm (auto by default).
-	Solver solver.Method
-	// LInfObjective switches training to the minimax loss (Section 4.6).
-	LInfObjective bool
 }
 
 // Trainer builds PTSHIST models for a fixed dimensionality.
@@ -94,15 +89,8 @@ func (t *Trainer) TrainHist(samples []core.LabeledQuery) (*Model, error) {
 	stage.EndItems(int64(a.Rows) * int64(a.Cols))
 
 	stage = t.Log.Stage("solve")
-	var w []float64
-	var err error
 	var sst solver.Stats
-	if t.Opts.LInfObjective {
-		w, err = lp.MinimaxWeights(a.Dense(), s)
-		sst.Method = "lp_minimax"
-	} else {
-		w, err = solver.WeightsWithStats(t.Opts.Solver, a, s, &sst)
-	}
+	w, err := solver.WeightsWithStats(solver.MethodAuto, a, s, &sst)
 	stage.EndItems(int64(sst.Iterations))
 	if err != nil {
 		return nil, fmt.Errorf("ptshist: weight estimation: %w", err)

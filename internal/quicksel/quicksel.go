@@ -31,16 +31,13 @@ import (
 // BucketMultiplier is the paper's 4× bucket convention.
 const BucketMultiplier = 4
 
+// mu is the uniform-regularization strength.
+const mu = 1e-3
+
 // Options configures QUICKSEL training.
 type Options struct {
-	// BucketsPerQuery is the bucket multiplier (default 4).
-	BucketsPerQuery int
-	// Mu is the uniform-regularization strength (default 1e-3).
-	Mu float64
 	// Seed drives bucket sampling.
 	Seed uint64
-	// Solver picks the weight-estimation algorithm.
-	Solver solver.Method
 	// ExactQP uses QuickSel's original equality-constrained quadratic
 	// program — min ‖w−u‖² s.t. A·w = s, Σw = 1 — solved in closed form
 	// via the KKT system. Weights may then be negative, which is exactly
@@ -82,25 +79,17 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 		return nil, errors.New("quicksel: empty training set")
 	}
 	r := rng.New(t.Opts.Seed)
-	mult := t.Opts.BucketsPerQuery
-	if mult == 0 {
-		mult = BucketMultiplier
-	}
-	mu := t.Opts.Mu
-	if mu == 0 {
-		mu = 1e-3
-	}
 
 	// Bucket generation: each query contributes its own box plus
-	// (mult−1) jittered sub-boxes of it, QuickSel's sampling of the
-	// "intersection lattice" of the workload.
+	// (BucketMultiplier−1) jittered sub-boxes of it, QuickSel's sampling
+	// of the "intersection lattice" of the workload.
 	stage := t.Log.Stage("bucket_sample")
-	buckets := make([]geom.Box, 0, mult*len(samples)+1)
+	buckets := make([]geom.Box, 0, BucketMultiplier*len(samples)+1)
 	buckets = append(buckets, geom.UnitCube(t.Dim)) // background bucket
 	for _, z := range samples {
-		qb := boxOf(z.R)
+		qb := z.R.BoundingBox()
 		buckets = append(buckets, qb)
-		for extra := 0; extra < mult-1; extra++ {
+		for extra := 0; extra < BucketMultiplier-1; extra++ {
 			buckets = append(buckets, jitteredSubBox(qb, r))
 		}
 	}
@@ -141,7 +130,7 @@ func (t *Trainer) Train(samples []core.LabeledQuery) (core.Model, error) {
 		rhs[m+j] = sqrtMu * u
 	}
 	var sst solver.Stats
-	w, err := solver.WeightsWithStats(t.Opts.Solver, aug, rhs, &sst)
+	w, err := solver.WeightsWithStats(solver.MethodAuto, aug, rhs, &sst)
 	stage.EndItems(int64(sst.Iterations))
 	if err != nil {
 		return nil, err
@@ -201,15 +190,6 @@ func uniformVec(n int, u float64) []float64 {
 		v[i] = u
 	}
 	return v
-}
-
-// boxOf returns the range itself if it is a box, otherwise its bounding
-// box.
-func boxOf(r geom.Range) geom.Box {
-	if b, ok := r.(geom.Box); ok {
-		return b.BoundingBox()
-	}
-	return r.BoundingBox()
 }
 
 // jitteredSubBox draws a random sub-box of b: QuickSel populates its bucket

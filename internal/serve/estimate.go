@@ -74,10 +74,9 @@ func (s *Server) admit(sc *estimateScratch, name []byte, ranges []geom.Range, er
 }
 
 // estimate returns an estimate for every query whose errs slot is nil.
-// The valid queries go to the shared deterministic kernel as one batch and
-// their results are scattered back by index, so the output is
-// byte-identical for any worker count. When sp is an active trace span,
-// the kernel fan-out appears as its child.
+// The valid queries go to the shared kernel as one batch, evaluated on the
+// request's goroutine, and their results are scattered back by index.
+// When sp is an active trace span, the kernel call appears as its child.
 //
 //selvet:zeroalloc
 func (s *Server) estimate(e *Entry, ranges []geom.Range, errs []error, sc *estimateScratch, sp obs.Span) []float64 {
@@ -92,7 +91,7 @@ func (s *Server) estimate(e *Entry, ranges []geom.Range, errs []error, sc *estim
 	sc.valid, sc.validRg = valid, validRg
 	validV := grow(&sc.validV, len(valid))
 	if len(valid) > 0 {
-		core.EstimateRangesTraced(e.Model, validRg, s.opts.EstimateWorkers, validV, sp)
+		core.EstimateRangesTraced(e.Model, validRg, validV, sp)
 	}
 	for k, i := range valid {
 		ests[i] = validV[k]

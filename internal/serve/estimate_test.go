@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -102,41 +101,6 @@ func TestEstimateAfterSwapAnswersNewModel(t *testing.T) {
 	if math.Float64bits(*resp.Estimate) != math.Float64bits(m2.Estimate(q)) {
 		t.Fatalf("post-swap estimate %v is stale (m1 would be %v, m2 is %v)",
 			*resp.Estimate, m1.Estimate(q), m2.Estimate(q))
-	}
-}
-
-// Batched estimates must be byte-identical for any worker count: the
-// parallel fan-out writes each result to its own index slot, so the JSON
-// body cannot depend on scheduling.
-func TestEstimateResponsesByteIdenticalAcrossWorkers(t *testing.T) {
-	const n = 100 // above the parallel threshold
-	var sb strings.Builder
-	sb.WriteString(`{"queries":[`)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		f := float64(i+1) / float64(n+1)
-		fmt.Fprintf(&sb, `{"lo":[0,0],"hi":[%g,%g]}`, f, 1-f/2)
-	}
-	sb.WriteString(`]}`)
-	body := sb.String()
-
-	var want []byte
-	for _, workers := range []int{1, 2, 4, 8} {
-		s := NewServer(Options{EstimateWorkers: workers})
-		s.Registry().Set(DefaultModelName, "test", unitModel(1))
-		w, _ := postEstimate(t, s.Handler(), body)
-		if w.Code != 200 {
-			t.Fatalf("workers=%d: HTTP %d", workers, w.Code)
-		}
-		if want == nil {
-			want = w.Body.Bytes()
-			continue
-		}
-		if !bytes.Equal(w.Body.Bytes(), want) {
-			t.Fatalf("workers=%d: response bytes differ from workers=1", workers)
-		}
 	}
 }
 

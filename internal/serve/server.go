@@ -68,16 +68,6 @@ type Options struct {
 	MaxBodyBytes int64
 	// DrainTimeout bounds graceful shutdown (default 10s).
 	DrainTimeout time.Duration
-	// EstimateWorkers is the worker count for batched estimate requests
-	// (default 0: the shared pool's default, i.e. GOMAXPROCS unless
-	// overridden via parallel.SetDefault).
-	EstimateWorkers int
-	// Metrics is the observability registry backing GET /metrics
-	// (default: a fresh private registry).
-	Metrics *obs.Registry
-	// Tracer records request/retrain spans for GET /debug/trace (default:
-	// a fresh tracer with obs.DefaultTraceCapacity spans).
-	Tracer *obs.Tracer
 	// TraceSample sets request-trace sampling: 0 disables (default),
 	// 1 traces every request, N traces one request in N.
 	TraceSample int
@@ -161,14 +151,8 @@ type Server struct {
 // NewServer builds a server with an empty registry.
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	tracer := opts.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity)
 	tracer.SetSampling(opts.TraceSample)
 	s := &Server{
 		opts:        opts,
@@ -250,13 +234,6 @@ func buildRevision() string {
 	}
 	return "unknown"
 }
-
-// Metrics exposes the server's observability registry so embedders can
-// add their own series or render exposition out-of-band.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Tracer exposes the server's span tracer.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Registry exposes the model registry, e.g. for preloading models from
 // disk before serving.

@@ -27,9 +27,8 @@ import (
 // deterministic while hot swaps land.
 
 // streamBatchSize bounds how many lines accumulate before the batch is
-// answered. Large enough to clear core's parallel threshold (64) and
-// amortize flushes; small enough that the first results of a long stream
-// appear quickly.
+// answered. Large enough to amortize flushes; small enough that the first
+// results of a long stream appear quickly.
 const streamBatchSize = 256
 
 // streamMaxLine bounds one NDJSON line (a single query object).

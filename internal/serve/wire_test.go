@@ -255,8 +255,8 @@ func (*duplexWriter) Flush()                  {}
 // TestEstimateHandlerZeroAlloc is the end-to-end allocation gate for the
 // estimate request path (the TestObsDisabledAllocs pattern applied to the
 // handler): mux dispatch, instrumentation, body read, decode, estimate,
-// encode — 0 allocs/op at steady state, for one query and for a batch on
-// the server's default configuration, and for a 64-line stream.
+// encode — 0 allocs/op at steady state, for one query, a batch and a
+// 64-line stream on the server's default configuration.
 func TestEstimateHandlerZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs without -race")
@@ -311,13 +311,8 @@ func TestEstimateHandlerZeroAlloc(t *testing.T) {
 	})
 
 	t.Run("stream", func(t *testing.T) {
-		// The kernel hands a batch of 64 or more queries to the worker
-		// pool, whose task closure allocates on every transport; a
-		// one-worker kernel keeps this gate on the stream's own path.
-		s := NewServer(Options{EstimateWorkers: 1})
-		s.Registry().Set(DefaultModelName, "test", m)
 		qs := load.EventQueries(load.Event{Class: load.ClassStream, Seed: 3})
-		gate(t, s.Handler(), "/v1/estimate/stream?model=default", load.StreamBody(qs))
+		gate(t, h, "/v1/estimate/stream?model=default", load.StreamBody(qs))
 	})
 }
 

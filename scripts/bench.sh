@@ -109,14 +109,13 @@ BEGIN {
         key = name
         sub(/^BenchmarkIndexCrossover\//, "crossover_", key)
         sub(/\/m=/, "_m", key)
-    } else if (name ~ /^BenchmarkServeEstimateBatch\//) {
-        # BenchmarkServeEstimateBatch/workers=4 -> serve_batch_w4
-        key = name
-        sub(/^BenchmarkServeEstimateBatch\/workers=/, "serve_batch_w", key)
-    } else if (name ~ /^BenchmarkServeEstimateStream\//) {
-        # BenchmarkServeEstimateStream/workers=4 -> serve_stream_w4
-        key = name
-        sub(/^BenchmarkServeEstimateStream\/workers=/, "serve_stream_w", key)
+    } else if (name == "BenchmarkServeEstimateBatch") {
+        # The server evaluates a batch on one goroutine, as the
+        # workers=1 arm of earlier BENCH files did: keep that key so
+        # -baseline still compares against them.
+        key = "serve_batch_w1"
+    } else if (name == "BenchmarkServeEstimateStream") {
+        key = "serve_stream_w1"
     } else if (name ~ /^BenchmarkServeEstimateAlloc\//) {
         # BenchmarkServeEstimateAlloc/single -> serve_alloc_single
         key = name
@@ -169,8 +168,8 @@ END {
             # Intra-run baselines for benchmarks that carry their own
             # reference arm: the flat kernel at the same bucket count for
             # the estimate-path and crossover arms, the dense tree for the
-            # sparse arm, the single-worker run for batched serving
-            # throughput.
+            # sparse arm, the JSON path for the binary frames, the JSON
+            # snapshot for the binary one.
             ref = ""
             if (key ~ /^estpath_bvh_m/) {
                 ref = key
@@ -181,10 +180,6 @@ END {
             } else if (key ~ /^crossover_bvh_m/) {
                 ref = key
                 sub(/^crossover_bvh_/, "crossover_flat_", ref)
-            } else if (key ~ /^serve_batch_w/ && key != "serve_batch_w1") {
-                ref = "serve_batch_w1"
-            } else if (key ~ /^serve_stream_w/ && key != "serve_stream_w1") {
-                ref = "serve_stream_w1"
             } else if (key == "serve_bin_single") {
                 ref = "serve_bin_http_single"
             } else if (key == "serve_bin_batch") {

@@ -81,9 +81,13 @@ go test -run 'TestOnlineDeterminism|TestDeterministicFold' ./internal/serve ./in
 # count the same matrix, so no trained model changes. The golden file of
 # trained weight bits covers every learner that fits Eq. 8; a deliberate
 # change to any weight shows there as a diff. Design-matrix assembly must
-# not allocate the dense m×n matrix.
+# not allocate the dense m×n matrix. The render golden runs every
+# experiment at a tiny fixed-seed config and diffs the rendered tables,
+# less the wall-clock results, so a change that moves any reported cell
+# shows there too.
 go test -count=1 -run 'TestSearchTauMatchesProbeBuilds|TestMinTauIsExactThreshold|TestOrderIndependence|TestSparseMatchesReferenceBits|TestSparseMatchesDense|TestNewSparseRows|TestDesignMatrixMemory' ./internal/hist ./internal/quadtree ./internal/linalg ./internal/core
 go test -count=1 -run 'TestTrainedWeightsGolden' .
+go test -count=1 -run 'TestRenderGolden' ./internal/experiments
 go test -run '^$' -bench 'BenchmarkSearchTau$|BenchmarkSparseMatVec/|BenchmarkDesignMatrix/' -benchtime 1x .
 # Labeling same-bits gates: every box count the rank index answers must
 # equal the kd walk's and brute force's (ties, signed zeros, NaNs,
@@ -96,16 +100,19 @@ go test -run '^$' -bench 'BenchmarkLabel/' -benchtime 1x .
 # Benchmark smoke: one iteration of the fig9 sweep under the Quick preset
 # plus one pass over the estimate-path kernels and the batched serving
 # endpoint, so a perf regression that breaks either harness is caught here
-# rather than in scripts/bench.sh.
+# rather than in scripts/bench.sh. The two serving benchmarks have no
+# sub-benchmarks, so their patterns are anchored: 'X/' would match none.
 go test -run '^$' -bench 'BenchmarkFig09$' -benchtime 1x .
-go test -run '^$' -bench 'BenchmarkEstimatePath/|BenchmarkIndexCrossover/|BenchmarkServeEstimateBatch/|BenchmarkServeEstimateStream/' -benchtime 1x .
-# Wire-path zero-allocation gate: the steady-state single-estimate and
-# 16-query batch paths through the full mux (pooled codecs, arena parse,
-# hand-rolled encode) of a server on the default Options{}, and a 64-line
-# NDJSON stream, must measure exactly 0 allocs/op — this is the contract
-# DESIGN.md §13 documents, and any new per-request allocation fails the
-# test.
+go test -run '^$' -bench 'BenchmarkEstimatePath/|BenchmarkIndexCrossover/|BenchmarkServeEstimateBatch$|BenchmarkServeEstimateStream$' -benchtime 1x .
+# Wire-path zero-allocation gate: the steady-state single-estimate,
+# 16-query batch and 64-line NDJSON stream paths through the full mux
+# (pooled codecs, arena parse, hand-rolled encode) of a server on the
+# default Options{} must measure exactly 0 allocs/op — this is the
+# contract DESIGN.md §13 documents, and any new per-request allocation
+# fails the test. The batch kernel itself must not allocate on a
+# one-worker pool either (GOMAXPROCS 1, or -workers 1).
 go test -run 'TestEstimateHandlerZeroAlloc' -count=1 ./internal/serve
+go test -run 'TestEstimateRangesIntoOneWorkerPoolZeroAlloc' -count=1 ./internal/core
 # JSON codec same-bits gates (DESIGN.md §13): every number the scanner
 # converts on its own paths has strconv.ParseFloat's bits, on random
 # renderings and on the load harness's bodies (whose path shares the test
